@@ -37,12 +37,16 @@ int main() {
     Algorithm1Context ctx(h, options);
     if (ctx.is_degenerate()) continue;
     const Graph& g = ctx.intersection();
-    const DiameterPair pair = longest_path_from(g, 0, 2);
-    const BidirectionalCut cut = bidirectional_bfs_cut(g, pair.s, pair.t);
-    const BoundaryStructure b = extract_boundary(g, cut.side);
+    Workspace ws;
+    const DiameterPair pair = longest_path_from(g, 0, 2, ws);
+    BidirectionalCut cut;
+    bidirectional_bfs_cut(g, pair.s, pair.t, ws, cut);
+    BoundaryStructure b;
+    extract_boundary(g, cut.side, ws, b);
     boundary_sizes.add(b.size());
 
-    const CompletionResult greedy = complete_cut_greedy(b.boundary_graph);
+    CompletionResult greedy;
+    complete_cut_greedy(b.boundary_graph, ws, greedy);
     const CompletionResult exact =
         complete_cut_exact(b.boundary_graph, b.boundary_side);
     const double delta =

@@ -94,28 +94,17 @@ void check_identity(const std::string& name, const Graph& g,
   BfsKernelOptions reordered_kernel;  // ties in original-id space
   reordered_kernel.tie_rank = perm.to_old.data();
 
+  Workspace td_ws;  // the top-down reference's labels
   bool distances_ok = true;
   bool farthest_ok = true;
   bool cut_ok = true;
   for (VertexId s : sources) {
-    const BfsResult td = [&] {
-      Workspace local;
-      const BfsSummary summary = bfs_scan(g, s, local, top_down_only());
-      BfsResult r;
-      r.distance.resize(g.num_vertices());
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        r.distance[v] = local.distance.get(v);
-      }
-      r.farthest = summary.farthest;
-      r.depth = summary.depth;
-      r.reached = summary.reached;
-      return r;
-    }();
+    const BfsSummary td = bfs_scan(g, s, td_ws, top_down_only());
 
     // Leg 1: direction-optimizing on the original order.
     const BfsSummary dopt = bfs_scan(g, s, ws, {});
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      distances_ok &= ws.distance.get(v) == td.distance[v];
+      distances_ok &= ws.distance.get(v) == td_ws.distance.get(v);
     }
     farthest_ok &= dopt.farthest == td.farthest && dopt.depth == td.depth &&
                    dopt.reached == td.reached;
@@ -124,7 +113,8 @@ void check_identity(const std::string& name, const Graph& g,
     const BfsSummary rd =
         bfs_scan(g_perm, perm.to_new[s], ws, reordered_kernel);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      distances_ok &= ws.distance.get(perm.to_new[v]) == td.distance[v];
+      distances_ok &=
+          ws.distance.get(perm.to_new[v]) == td_ws.distance.get(v);
     }
     farthest_ok &= perm.to_old[rd.farthest] == td.farthest &&
                    rd.depth == td.depth && rd.reached == td.reached;
@@ -135,7 +125,8 @@ void check_identity(const std::string& name, const Graph& g,
   // Bidirectional cut across kernels and orders.
   const DiameterPair pair = longest_path_from(g, sources.front(), 2, ws);
   if (pair.s != pair.t) {
-    const BidirectionalCut td = bidirectional_bfs_cut(g, pair.s, pair.t);
+    BidirectionalCut td;
+    bidirectional_bfs_cut(g, pair.s, pair.t, td_ws, td, top_down_only());
     BidirectionalCut dopt;
     bidirectional_bfs_cut(g, pair.s, pair.t, ws, dopt, {});
     cut_ok &= dopt.side == td.side;
@@ -263,7 +254,7 @@ int main() {
                                    // so mid-loop writes would be wiped
   for (const Shape& shape : shapes) {
     print_header("instance " + shape.name);
-    const Graph g = intersection_graph(shape.h, {});
+    const Graph g = intersection_graph(shape.h);
     if (g.num_vertices() < 2) {
       std::printf("  [skip] intersection graph too small\n");
       continue;

@@ -33,7 +33,8 @@ int main() {
       options.seed = seed;
       Algorithm1Context ctx(h, options);
       if (ctx.is_degenerate()) continue;
-      const Algorithm1Result r = ctx.run_single(0);
+      Algorithm1Context::StartScratch scratch;
+      const Algorithm1Result r = ctx.run_single(0, scratch);
       gsize.add(ctx.intersection().num_vertices());
       bsize.add(r.boundary_size);
       fraction.add(static_cast<double>(r.boundary_size) /
@@ -60,7 +61,8 @@ int main() {
       options.seed = seed;
       Algorithm1Context ctx(h, options);
       if (ctx.is_degenerate()) continue;
-      const Algorithm1Result r = ctx.run_single(0);
+      Algorithm1Context::StartScratch scratch;
+      const Algorithm1Result r = ctx.run_single(0, scratch);
       gsize.add(ctx.intersection().num_vertices());
       bsize.add(r.boundary_size);
       fraction.add(static_cast<double>(r.boundary_size) /

@@ -234,7 +234,7 @@ std::vector<TimedRun> measure_trials(const char* label, int trials,
   if (pool != nullptr && pool->thread_count() > 1 && trials > 1) {
     // Same `pool/` gauges the serving layer publishes (docs/serving.md),
     // so run reports state which pool shape produced the trials.
-    FHP_GAUGE_SET("pool/lanes", pool->lane_count());
+    FHP_GAUGE_SET("pool/lanes", pool->thread_count());
     runs = pool->parallel_map<TimedRun>(n, one);
     FHP_GAUGE_SET("pool/pending_chunks",
                   static_cast<double>(pool->pending_chunks()));

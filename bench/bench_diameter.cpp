@@ -49,8 +49,9 @@ int main() {
       Rng rng(seed);
       const auto start = static_cast<VertexId>(
           rng.next_below(g.num_vertices()));
-      const std::uint32_t one_bfs = bfs(g, start).depth;
-      const std::uint32_t sweep = longest_path_from(g, start, 2).distance;
+      Workspace ws;
+      const std::uint32_t one_bfs = bfs_scan(g, start, ws).depth;
+      const std::uint32_t sweep = longest_path_from(g, start, 2, ws).distance;
 
       diam_stats.add(exact);
       bfs_stats.add(one_bfs);

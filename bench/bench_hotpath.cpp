@@ -1,14 +1,15 @@
 /// \file bench_hotpath.cpp
 /// Hot-path regression harness for the workspace substrate, the counting
-/// intersection build and start memoization. Unlike the experiment benches
-/// this one is also a correctness gate wired into CI: it ABORTS (nonzero
-/// exit) when
-///   - the memoized / workspace-backed pipeline is not bit-identical to the
-///     naive allocate-per-start loop,
-///   - the cache-locality reordering (Algorithm1Options::reorder) changes
-///     the partition in any threads x memoization configuration,
+/// intersection build, start memoization and the locality-permuted
+/// traversal. Unlike the experiment benches this one is also a correctness
+/// gate wired into CI: it ABORTS (nonzero exit) when
+///   - algorithm1() at threads {1, 2, 8} is not bit-identical to the
+///     per-start reference (a run_single() loop, one fresh StartScratch per
+///     start; validate/reference.hpp),
+///   - the permuted traversal changes the partition relative to the
+///     unpermuted reference at threads {1, 2, 8},
 ///   - per-lane workspace reuse does not cut buffer growths by >= 2x versus
-///     allocate-per-call (tracing builds), or
+///     a fresh scratch per start (tracing builds), or
 ///   - a 50-start run records no memo hits (tracing builds).
 /// Timing numbers (ns/start, build times, scratch footprint) go into
 /// BENCH_hotpath.json; the asserts are about counters and bytes, never
@@ -24,6 +25,7 @@
 #include "gen/grid.hpp"
 #include "obs/counters.hpp"
 #include "util/timer.hpp"
+#include "validate/reference.hpp"
 
 namespace {
 
@@ -45,115 +47,63 @@ long long counter(const char* name) {
   return obs::Counters::instance().value(name);
 }
 
-/// Bit-identity of the full options matrix legs: memo on, memo off, and a
-/// hand-rolled allocate-per-start loop over run_single (the pre-workspace
-/// code path, reduced exactly like algorithm1_impl's serial loop).
-void check_bit_identity(const Hypergraph& h) {
-  print_header("bit-identity: memoized vs unmemoized vs naive loop");
-  for (const int threads : {1, 2, 8}) {
-    Algorithm1Options options;
-    options.num_starts = 50;
-    options.seed = 7;
-    options.threads = threads;
-
-    options.memoize_starts = true;
-    const Algorithm1Result memoized = algorithm1(h, options);
-    options.memoize_starts = false;
-    const Algorithm1Result plain = algorithm1(h, options);
-
-    std::string label = "threads=" + std::to_string(threads) +
-                        ": memoized == unmemoized partition";
-    check(memoized.sides == plain.sides &&
-              memoized.metrics.cut_edges == plain.metrics.cut_edges,
-          label.c_str());
-  }
-
-  // Naive loop leg (serial, threads=1 context), reproducing the reduction.
+/// The configuration every leg runs: 50 starts, seed 7, \p threads lanes.
+Algorithm1Options hotpath_options(int threads) {
   Algorithm1Options options;
   options.num_starts = 50;
   options.seed = 7;
-  options.threads = 1;
-  const Algorithm1Result full = algorithm1(h, options);
+  options.threads = threads;
+  return options;
+}
 
-  const Algorithm1Context context(h, options);
+/// Bit-identity of the driver at threads {1, 2, 8} against both
+/// references: the per-start loop (what memoization must reproduce) and
+/// the unpermuted traversal (what the locality permutation must
+/// reproduce).
+void check_bit_identity(const Hypergraph& h) {
+  print_header("bit-identity: algorithm1 vs the per-start and unpermuted "
+               "references");
+  const Algorithm1Options serial = hotpath_options(1);
+  const Algorithm1Context context(h, serial);
   if (context.is_degenerate()) {
     // Disconnected G takes the degenerate shortcut: no per-start pipeline
-    // to compare against (the memo on/off legs above still had to agree).
-    std::printf("  [skip] naive loop (degenerate instance)\n");
+    // to compare against.
+    std::printf("  [skip] references (degenerate instance)\n");
     return;
   }
-  Rng rng(options.seed);
-  std::vector<VertexId> starts(context.intersection().num_vertices());
-  for (VertexId i = 0; i < starts.size(); ++i) starts[i] = i;
-  rng.shuffle(starts);
-  if (static_cast<std::uint64_t>(options.num_starts) < starts.size()) {
-    starts.resize(static_cast<std::size_t>(options.num_starts));
-  }
-  Algorithm1Result naive;
-  bool have = false;
-  for (const VertexId start : starts) {
-    Algorithm1Result candidate = context.run_single(start);
-    const bool take =
-        !have ||
-        candidate.metrics.cut_edges < naive.metrics.cut_edges ||
-        (candidate.metrics.cut_edges == naive.metrics.cut_edges &&
-         candidate.metrics.weight_imbalance < naive.metrics.weight_imbalance);
-    if (take) {
-      naive = std::move(candidate);
-      have = true;
-    }
-  }
-  check(have && naive.sides == full.sides,
-        "naive run_single loop == algorithm1 partition");
-}
-
-/// Bit-identity of the cache-locality reordering: the permuted-traversal
-/// pipeline must reproduce the exact partition of the original-order
-/// pipeline in every configuration — the reordering is a pure memory-layout
-/// change (see Algorithm1Options::reorder).
-void check_reorder_identity(const Hypergraph& h) {
-  print_header("bit-identity: reorder on vs off");
-  for (const int threads : {1, 8}) {
-    for (const bool memoize : {true, false}) {
-      Algorithm1Options options;
-      options.num_starts = 50;
-      options.seed = 7;
-      options.threads = threads;
-      options.memoize_starts = memoize;
-
-      options.reorder = true;
-      const Algorithm1Result reordered = algorithm1(h, options);
-      options.reorder = false;
-      const Algorithm1Result original = algorithm1(h, options);
-
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " memo=" + (memoize ? "on" : "off") +
-                                ": reordered == original partition";
-      check(reordered.sides == original.sides &&
-                reordered.metrics.cut_edges == original.metrics.cut_edges,
-            label.c_str());
-    }
+  const Algorithm1Result per_start =
+      validate::per_start_reference(context, serial);
+  const Algorithm1Result unpermuted =
+      validate::unpermuted_reference(context, serial);
+  for (const int threads : {1, 2, 8}) {
+    const Algorithm1Result got = algorithm1(h, hotpath_options(threads));
+    const std::string prefix = "threads=" + std::to_string(threads);
+    check(got.sides == per_start.sides &&
+              got.metrics.cut_edges == per_start.metrics.cut_edges,
+          (prefix + ": algorithm1 == per-start reference partition").c_str());
+    check(got.sides == unpermuted.sides &&
+              got.metrics.cut_edges == unpermuted.metrics.cut_edges,
+          (prefix + ": algorithm1 == unpermuted reference partition").c_str());
   }
 }
 
-/// Allocation accounting: the naive loop pays workspace growths on every
-/// start; the per-lane loop pays them once per lane. Requires tracing.
+/// Allocation accounting: a fresh scratch per start pays workspace growths
+/// on every start; the per-lane driver pays them once per lane. Requires
+/// tracing.
 void check_allocation_reduction(const Hypergraph& h) {
-  print_header("allocation accounting: per-call vs per-lane workspaces");
+  print_header("allocation accounting: per-start vs per-lane workspaces");
 #if FHP_TRACING_ENABLED
-  Algorithm1Options options;
-  options.num_starts = 50;
-  options.seed = 7;
-  options.threads = 1;
+  const Algorithm1Options options = hotpath_options(1);
   const Algorithm1Context context(h, options);
 
-  obs::Counters::instance().reset();
+  long long naive_grows = 0;
   for (VertexId start = 0;
        start < std::min<VertexId>(50U, context.intersection().num_vertices());
        ++start) {
-    static_cast<void>(context.run_single(start));
+    Algorithm1Context::StartScratch scratch;
+    static_cast<void>(context.run_single(start, scratch));
+    naive_grows += static_cast<long long>(scratch.ws.grow_events());
   }
-  const long long naive_grows = counter("workspace/buffer_grows");
 
   obs::Counters::instance().reset();
   static_cast<void>(algorithm1(h, options));
@@ -171,6 +121,7 @@ void check_allocation_reduction(const Hypergraph& h) {
         "per-lane reuse cuts buffer growths by >= 2x");
 #else
   std::printf("  tracing compiled out; allocation counters unavailable\n");
+  static_cast<void>(h);
 #endif
 }
 
@@ -180,11 +131,7 @@ void check_memo_hits(const Hypergraph& h) {
   print_header("memoization: hits on a 50-start run");
 #if FHP_TRACING_ENABLED
   obs::Counters::instance().reset();
-  Algorithm1Options options;
-  options.num_starts = 50;
-  options.seed = 7;
-  options.threads = 1;
-  static_cast<void>(algorithm1(h, options));
+  static_cast<void>(algorithm1(h, hotpath_options(1)));
   const long long hits = counter("algorithm1/starts_memo_hits");
   const long long misses = counter("algorithm1/starts_memo_misses");
   std::printf("  memo: %lld hits / %lld misses\n", hits, misses);
@@ -193,38 +140,42 @@ void check_memo_hits(const Hypergraph& h) {
         "every examined start is a hit or a miss");
 #else
   std::printf("  tracing compiled out; memo counters unavailable\n");
+  static_cast<void>(h);
 #endif
 }
 
-/// Timing legs: ns/start for the three pipeline variants and the two
-/// intersection builders. Informational (recorded, never asserted).
+/// Timing legs: ns/start for the driver and the two references, and the
+/// two intersection builders. Informational (recorded, never asserted).
 void measure_timings(const Hypergraph& h) {
   print_header("timings (informational)");
-  constexpr int kStarts = 50;
-  auto run = [&](const char* label, bool memoize) {
-    Algorithm1Options options;
-    options.num_starts = kStarts;
-    options.seed = 7;
-    options.threads = 1;
-    options.memoize_starts = memoize;
-    const TimedRun r = measure(label, [&] { return algorithm1(h, options); });
-    const double ns_per_start = r.seconds * 1e9 / kStarts;
+  const Algorithm1Options options = hotpath_options(1);
+  const auto run = [&](const char* label, const auto& body) {
+    const TimedRun r = measure(label, body);
+    const double ns_per_start =
+        r.seconds * 1e9 / static_cast<double>(options.num_starts);
     obs::Counters::instance().set_gauge(
         (std::string(label) + "/ns_per_start").c_str(), ns_per_start);
     std::printf("  %-24s %8.3f ms  (%9.0f ns/start, cut %u)\n", label,
                 r.seconds * 1e3, ns_per_start, static_cast<unsigned>(r.cut));
   };
   for (int rep = 0; rep < 5; ++rep) {
-    run("alg1_memoized", true);
-    run("alg1_unmemoized", false);
+    run("alg1", [&] { return algorithm1(h, options); });
+    run("per_start_reference", [&] {
+      const Algorithm1Context context(h, options);
+      return validate::per_start_reference(context, options);
+    });
+    run("unpermuted_reference", [&] {
+      const Algorithm1Context context(h, options);
+      return validate::unpermuted_reference(context, options);
+    });
   }
 
   for (int rep = 0; rep < 5; ++rep) {
     Timer counting;
-    const Graph g1 = intersection_graph(h, {});
+    const Graph g1 = intersection_graph(h);
     const double counting_s = counting.seconds();
     Timer reference;
-    const Graph g2 = intersection_graph_reference(h, {});
+    const Graph g2 = intersection_graph_reference(h);
     const double reference_s = reference.seconds();
     BenchRecorder::instance().add("intersection_counting", counting_s,
                                   static_cast<double>(g1.num_edges()));
@@ -255,10 +206,7 @@ int main() {
       {"Diff", 400, 600, Technology::kStandardCell, true, 6}, 13);
   const Hypergraph grid = grid_circuit({16, 16, 0.3, false}, 3);
 
-  for (const auto* leg : {&circuit, &planted, &grid}) {
-    check_bit_identity(*leg);
-    check_reorder_identity(*leg);
-  }
+  for (const auto* leg : {&circuit, &planted, &grid}) check_bit_identity(*leg);
   check_allocation_reduction(circuit);
   check_memo_hits(circuit);
   measure_timings(circuit);

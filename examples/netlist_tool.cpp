@@ -19,7 +19,6 @@
 ///     --completion greedy|weighted|exact              (default greedy)
 ///     --objective cut|quotient                        (default cut)
 ///     --seed S                    RNG seed            (default 1)
-///     --no-reorder                skip the cache-locality reordering
 ///     --output FILE               write partition file
 ///     --refine                    FM-refine the result
 ///     --trace                     print the phase tree + counters
@@ -74,7 +73,6 @@ struct CliOptions {
   std::uint32_t kway = 2;
   std::uint32_t threshold = 10;
   std::uint64_t seed = 1;
-  bool reorder = true;
   bool refine = false;
   bool verbose = false;
   bool trace = false;
@@ -111,10 +109,6 @@ void print_usage() {
       "  --completion greedy|weighted|exact (default greedy)\n"
       "  --objective cut|quotient  start-selection objective\n"
       "  --seed S                  RNG seed (default 1)\n"
-      "  --no-reorder              skip the cache-locality reordering of\n"
-      "                            the intersection graph (identical\n"
-      "                            partition, slower traversals; for\n"
-      "                            benchmarking)\n"
       "  --output FILE             write the partition (one 0/1 per line)\n"
       "  --refine                  FM-refine the chosen partition\n"
       "  --verbose                 print the full cut analysis\n"
@@ -165,8 +159,6 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--seed") {
       options.seed = static_cast<std::uint64_t>(
           std::atoll(value().c_str()));
-    } else if (arg == "--no-reorder") {
-      options.reorder = false;
     } else if (arg == "--refine") {
       options.refine = true;
     } else if (arg == "--verbose") {
@@ -207,7 +199,6 @@ RunResult run(const CliOptions& cli, const Hypergraph& h) {
     options.large_edge_threshold = cli.threshold;
     options.seed = cli.seed;
     options.threads = cli.threads;
-    options.reorder = cli.reorder;
     if (cli.completion == "weighted") {
       options.completion = CompletionStrategy::kWeightedGreedy;
     } else if (cli.completion == "exact") {
@@ -414,7 +405,6 @@ int main(int argc, char** argv) {
       a1.large_edge_threshold = cli.threshold;
       a1.seed = cli.seed;
       a1.threads = cli.threads;
-      a1.reorder = cli.reorder;
       RecursiveOptions recursive;
       recursive.algorithm1 = a1;
       recursive.rebalance = true;

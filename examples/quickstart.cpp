@@ -59,16 +59,20 @@ int main() {
     std::printf("\n");
   }
 
-  // --- Step 2: far-apart pair and bidirectional BFS cut.
+  // --- Step 2: far-apart pair and bidirectional BFS cut. Every kernel
+  // borrows its scratch from one Workspace.
+  Workspace ws;
   const VertexId k = netlist.edge("k");
-  const DiameterPair pair = longest_path_from(g, k, 2);
+  const DiameterPair pair = longest_path_from(g, k, 2, ws);
   std::printf("\npseudo-diameter pair: (%s, %s), distance %u\n",
               netlist.edge_names[pair.s].c_str(),
               netlist.edge_names[pair.t].c_str(), pair.distance);
-  const BidirectionalCut cut = bidirectional_bfs_cut(g, pair.s, pair.t);
+  BidirectionalCut cut;
+  bidirectional_bfs_cut(g, pair.s, pair.t, ws, cut);
 
   // --- Step 3: boundary structure.
-  const BoundaryStructure boundary = extract_boundary(g, cut.side);
+  BoundaryStructure boundary;
+  extract_boundary(g, cut.side, ws, boundary);
   std::printf("boundary set B (signals adjacent across the graph cut):");
   for (VertexId b : boundary.boundary_nodes) {
     std::printf(" %s", netlist.edge_names[b].c_str());
@@ -76,8 +80,8 @@ int main() {
   std::printf("\n");
 
   // --- Step 4: Complete-Cut.
-  const CompletionResult completion =
-      complete_cut_greedy(boundary.boundary_graph);
+  CompletionResult completion;
+  complete_cut_greedy(boundary.boundary_graph, ws, completion);
   std::printf("winners (uncut boundary signals):");
   for (VertexId idx = 0; idx < boundary.size(); ++idx) {
     if (completion.winner[idx]) {

@@ -12,21 +12,6 @@ namespace fhp {
 
 namespace {
 
-/// Gain of moving \p v to the other side: net weight uncut minus net
-/// weight newly cut (the Fiduccia–Mattheyses cell gain).
-Weight cell_gain(const Bipartition& p, VertexId v) {
-  const Hypergraph& h = p.hypergraph();
-  const std::uint8_t s = p.side(v);
-  Weight gain = 0;
-  for (EdgeId e : h.nets_of(v)) {
-    if (p.pins_on_side(e, s) == 1) gain += h.edge_weight(e);
-    if (p.pins_on_side(e, static_cast<std::uint8_t>(1 - s)) == 0) {
-      gain -= h.edge_weight(e);
-    }
-  }
-  return gain;
-}
-
 /// Lazy max-heap entry: (gain, vertex). Entries go stale when the vertex
 /// moves, locks, or its gain changes; staleness is detected at pop time
 /// against the authoritative gain/lock arrays.
@@ -57,7 +42,7 @@ class FmPass {
     heap_[1] = GainHeap();
     for (VertexId v = 0; v < n; ++v) {
       if (locked_[v]) continue;
-      gain_[v] = cell_gain(p_, v);
+      gain_[v] = p_.move_gain(v);
       heap_[p_.side(v)].emplace(gain_[v], v);
     }
 
@@ -147,7 +132,7 @@ class FmPass {
     for (EdgeId e : h.nets_of(v)) {
       for (VertexId u : h.pins(e)) {
         if (locked_[u]) continue;
-        const Weight g = cell_gain(p_, u);
+        const Weight g = p_.move_gain(u);
         if (g != gain_[u]) {
           gain_[u] = g;
           heap_[p_.side(u)].emplace(g, u);

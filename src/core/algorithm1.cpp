@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
+#include <map>
 #include <utility>
 
 #include "core/boundary.hpp"
@@ -110,9 +110,7 @@ Algorithm1Context::Algorithm1Context(const Hypergraph& h,
   }
   FHP_COUNTER_ADD("alg1/filtered_nets",
                   static_cast<long long>(filtered_edge_count()));
-  IntersectionOptions intersection_options;
-  intersection_options.pool = pool_.get();
-  g_ = intersection_graph(filtered_, intersection_options);
+  g_ = intersection_graph(filtered_, pool_.get());
   {
     FHP_TRACE_SCOPE("components");
     const Components comps = connected_components(g_);
@@ -120,7 +118,7 @@ Algorithm1Context::Algorithm1Context(const Hypergraph& h,
     g_component_count_ = comps.count();
   }
   degenerate_ = (g_.num_vertices() == 0) || (g_component_count_ > 1);
-  if (options_.reorder && !degenerate_ && g_.num_vertices() >= 2) {
+  if (!degenerate_ && g_.num_vertices() >= 2) {
     // Locality permutation for the BFS-heavy steps (graph/reorder.hpp).
     // Results are mapped back to original net ids immediately after the
     // initial cut, so everything downstream — memo keys, boundary
@@ -131,7 +129,7 @@ Algorithm1Context::Algorithm1Context(const Hypergraph& h,
     perm_ = degree_bucketed_bfs_order(g_);
     if (!perm_.is_identity()) {
       g_perm_ = g_.permuted(perm_);
-      reordered_ = true;
+      traversal_ = &g_perm_;
     }
     FHP_GAUGE_SET("algorithm1/reorder_ms", timer.seconds() * 1e3);
   }
@@ -268,14 +266,31 @@ Algorithm1Result Algorithm1Context::run_floating_split() const {
   return result;
 }
 
-Algorithm1Result Algorithm1Context::run_single(VertexId start) const {
-  StartScratch scratch;
-  Algorithm1Result result = run_single(start, scratch);
-  // Allocate-per-call convenience wrapper: every buffer the scratch grew
-  // was an allocation this call paid for (the per-lane reuse path exports
-  // the same counter once per multi-start run instead of once per start).
-  FHP_COUNTER_ADD("workspace/buffer_grows",
-                  static_cast<long long>(scratch.ws.grow_events()));
+Algorithm1Result Algorithm1Context::run_single_net() const {
+  FHP_REQUIRE(!degenerate_ && g_.num_vertices() == 1,
+              "single-net case expects a one-vertex G");
+  FHP_COUNTER_ADD("alg1/starts_examined", 1);
+  FHP_HIST_SCOPE_US("alg1/start_latency_us");
+  const Hypergraph& h = *h_;
+  Algorithm1Result result;
+  result.filtered_edges = filtered_edge_count();
+  result.sides.assign(h.num_vertices(), kSide0);
+  std::vector<std::uint8_t>& sides = result.sides;
+  const auto net_pins = filtered_.pins(0);
+  if (net_pins.size() < h.num_vertices()) {
+    for (VertexId v : net_pins) sides[v] = kSide1;
+  } else {
+    // Every module is on the lone net: split it as evenly as possible.
+    Weight weights[2] = {0, 0};
+    std::vector<VertexId> all(net_pins.begin(), net_pins.end());
+    balance_assign(h, all, sides, weights);
+  }
+  ensure_proper(h, sides);
+  {
+    FHP_TRACE_SCOPE("score");
+    result.metrics = compute_metrics(Bipartition(h, sides));
+  }
+  result.starts_run = 1;
   return result;
 }
 
@@ -283,37 +298,9 @@ Algorithm1Result Algorithm1Context::run_single(VertexId start,
                                                StartScratch& scratch) const {
   FHP_REQUIRE(!degenerate_, "degenerate instance: use run_degenerate()");
   FHP_REQUIRE(start < g_.num_vertices(), "start vertex out of range");
+  if (g_.num_vertices() == 1) return run_single_net();
   FHP_COUNTER_ADD("alg1/starts_examined", 1);
   FHP_HIST_SCOPE_US("alg1/start_latency_us");
-  const Hypergraph& h = *h_;
-
-  // --- Single-net corner case: G is one vertex; the only proper options
-  // are "net on one side, the rest on the other" (cut 0) or splitting the
-  // net. Prefer the former when possible.
-  if (g_.num_vertices() == 1) {
-    Algorithm1Result result;
-    result.filtered_edges = filtered_edge_count();
-    result.sides.assign(h.num_vertices(), kSide0);
-    std::vector<std::uint8_t>& sides = result.sides;
-    const auto net_pins = filtered_.pins(0);
-    if (net_pins.size() < h.num_vertices()) {
-      for (VertexId v : net_pins) sides[v] = kSide1;
-    } else {
-      // Every module is on the lone net: split it as evenly as possible.
-      Weight weights[2] = {0, 0};
-      std::vector<VertexId> all(net_pins.begin(), net_pins.end());
-      balance_assign(h, all, sides, weights);
-    }
-    ensure_proper(h, sides);
-    {
-      FHP_TRACE_SCOPE("score");
-      result.metrics = compute_metrics(Bipartition(h, sides));
-    }
-    result.starts_run = 1;
-    return result;
-  }
-
-  // --- Steps 1-2: pseudo-diameter pair, then everything downstream of it.
   return run_from_pair(find_pair(start, scratch.ws), scratch);
 }
 
@@ -322,17 +309,14 @@ DiameterPair Algorithm1Context::find_pair(VertexId start, Workspace& ws) const {
   FHP_REQUIRE(start < g_.num_vertices(), "start vertex out of range");
   FHP_REQUIRE(g_.num_vertices() >= 2,
               "a pseudo-diameter pair needs at least two G-vertices");
-  if (!reordered_) {
-    return longest_path_from(g_, start, options_.bfs_sweeps, ws);
-  }
   // Traverse the locality-permuted graph but break `farthest` ties by
   // original id (tie_rank = inverse permutation): the elected endpoints —
   // and hence the memo keys and everything downstream — are exactly those
-  // the un-reordered run elects.
+  // an unpermuted traversal elects.
   BfsKernelOptions kernel;
   kernel.tie_rank = perm_.to_old.data();
-  DiameterPair pair = longest_path_from(g_perm_, perm_.to_new[start],
-                                        options_.bfs_sweeps, ws, kernel);
+  DiameterPair pair = longest_path_from(*traversal_, perm_.to_new[start],
+                                        kPseudoDiameterSweeps, ws, kernel);
   pair.s = perm_.to_old[pair.s];
   pair.t = perm_.to_old[pair.t];
   return pair;
@@ -354,19 +338,15 @@ Algorithm1Result Algorithm1Context::run_from_pair(const DiameterPair& pair,
     std::uint32_t depth = 0;
     {
       FHP_TRACE_SCOPE("initial_cut");
-      // Distance labels are relabeling-invariant, so the sweep may run on
+      // Distance labels are relabeling-invariant, so the sweep runs on
       // the permuted graph; the copy-out below indexes through the
-      // permutation to land the labels back on original ids.
-      const BfsSummary levels =
-          reordered_ ? bfs_scan(g_perm_, perm_.to_new[pair.s], scratch.ws)
-                     : bfs_scan(g_, pair.s, scratch.ws);
-      depth = levels.depth;
-      // The completion sweep below reuses the workspace, so the distance
-      // labels must outlive it: copy them into the dedicated buffer.
+      // permutation to land the labels back on original ids. (The
+      // completion sweep below reuses the workspace, so the labels must
+      // outlive it in their dedicated buffer.)
+      depth = bfs_scan(*traversal_, perm_.to_new[pair.s], scratch.ws).depth;
       scratch.levels.resize(g_.num_vertices());
       for (VertexId u = 0; u < g_.num_vertices(); ++u) {
-        scratch.levels[u] =
-            scratch.ws.distance.get(reordered_ ? perm_.to_new[u] : u);
+        scratch.levels[u] = scratch.ws.distance.get(perm_.to_new[u]);
       }
     }
     const Weight total = h.total_vertex_weight();
@@ -378,8 +358,7 @@ Algorithm1Result Algorithm1Context::run_from_pair(const DiameterPair& pair,
       for (VertexId u = 0; u < g_.num_vertices(); ++u) {
         if (scratch.levels[u] <= cutoff) scratch.g_side[u] = 0;
       }
-      Algorithm1Result candidate = complete_from_cut_impl(scratch.g_side,
-                                                          scratch);
+      Algorithm1Result candidate = complete_from_cut(scratch.g_side, scratch);
       candidate.pseudo_diameter = pair.distance;
       const bool balanced =
           2 * candidate.metrics.weight_imbalance <= total;
@@ -406,43 +385,25 @@ Algorithm1Result Algorithm1Context::run_from_pair(const DiameterPair& pair,
   }
 
   // The region-growing cut is a function of adjacency and region sizes
-  // only (see bfs.hpp), so it may run on the permuted graph; the claimed
+  // only (see bfs.hpp), so it runs on the permuted graph; the claimed
   // sides are mapped back through the inverse permutation BEFORE boundary
   // extraction, whose tie-breaking is index-sensitive and must see
-  // original ids for reorder on/off to stay bit-identical.
-  if (reordered_) {
-    bidirectional_bfs_cut(g_perm_, perm_.to_new[pair.s], perm_.to_new[pair.t],
-                          scratch.ws, scratch.cut);
-    scratch.g_side.resize(g_.num_vertices());
-    for (VertexId u = 0; u < g_.num_vertices(); ++u) {
-      const std::uint8_t s = scratch.cut.side[perm_.to_new[u]];
-      FHP_ASSERT(s != 2, "all G-vertices reachable when G is connected");
-      scratch.g_side[u] = s;
-    }
-  } else {
-    bidirectional_bfs_cut(g_, pair.s, pair.t, scratch.ws, scratch.cut);
-    scratch.g_side.assign(scratch.cut.side.begin(), scratch.cut.side.end());
-    for (std::uint8_t s : scratch.g_side) {
-      FHP_ASSERT(s != 2, "all G-vertices reachable when G is connected");
-    }
+  // original ids.
+  bidirectional_bfs_cut(*traversal_, perm_.to_new[pair.s],
+                        perm_.to_new[pair.t], scratch.ws, scratch.cut);
+  scratch.g_side.resize(g_.num_vertices());
+  for (VertexId u = 0; u < g_.num_vertices(); ++u) {
+    const std::uint8_t s = scratch.cut.side[perm_.to_new[u]];
+    FHP_ASSERT(s != 2, "all G-vertices reachable when G is connected");
+    scratch.g_side[u] = s;
   }
-  Algorithm1Result completed = complete_from_cut_impl(scratch.g_side,
-                                                      scratch);
+  Algorithm1Result completed = complete_from_cut(scratch.g_side, scratch);
   completed.pseudo_diameter = pair.distance;
   completed.starts_run = 1;
   return completed;
 }
 
 Algorithm1Result Algorithm1Context::complete_from_cut(
-    std::vector<std::uint8_t> g_side) const {
-  StartScratch scratch;
-  Algorithm1Result result = complete_from_cut_impl(g_side, scratch);
-  FHP_COUNTER_ADD("workspace/buffer_grows",
-                  static_cast<long long>(scratch.ws.grow_events()));
-  return result;
-}
-
-Algorithm1Result Algorithm1Context::complete_from_cut_impl(
     std::span<const std::uint8_t> g_side, StartScratch& scratch) const {
   FHP_REQUIRE(!degenerate_, "degenerate instance: use run_degenerate()");
   FHP_REQUIRE(g_side.size() == g_.num_vertices(),
@@ -550,11 +511,7 @@ Algorithm1Result Algorithm1Context::complete_from_cut_impl(
       }
       if (chosen == kPending) {
         // Touched only by loser nets: free to go wherever balance wants.
-        if (options_.balance_free_vertices) {
-          unforced.push_back(v);
-        } else {
-          sides[v] = boundary.g_side[filtered_.nets_of(v).front()];
-        }
+        unforced.push_back(v);
       } else {
         sides[v] = chosen;
       }
@@ -580,7 +537,112 @@ Algorithm1Result Algorithm1Context::complete_from_cut_impl(
   return result;
 }
 
+std::vector<std::size_t> memo_owners(std::span<const DiameterPair> pairs) {
+  std::vector<std::size_t> owner(pairs.size());
+  std::map<std::pair<VertexId, VertexId>, std::size_t> first_of;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    owner[i] = first_of.try_emplace({pairs[i].s, pairs[i].t}, i).first->second;
+  }
+  return owner;
+}
+
 namespace {
+
+/// The multi-start driver. Distinct random starts frequently converge to
+/// the same pseudo-diameter pair after the BFS sweeps, and everything
+/// downstream of the pair is a pure function of it, so four phases keep
+/// the answer independent of the lane count and of how many starts
+/// repeat a pair:
+///   1. find every start's endpoint pair (parallel);
+///   2. dedup pairs by ordered (s, t) (memo_owners(), serial);
+///   3. complete each unique pair once (parallel);
+///   4. reduce in start order, repeats referencing their owner's result —
+///      with the strict better() this elects exactly the candidate a
+///      per-start loop over run_single() would.
+Algorithm1Result run_starts(const Algorithm1Context& context,
+                            const std::vector<VertexId>& starts,
+                            Objective objective) {
+  ThreadPool* pool = context.pool();
+  const bool parallel =
+      pool != nullptr && pool->thread_count() > 1 && starts.size() > 1;
+
+  // One scratch bundle per execution lane (worker lanes 1..N-1 plus the
+  // region caller as lane 0): the steady-state start loop then reuses warm
+  // buffers instead of allocating per start. Workspace is intentionally
+  // non-movable, hence the indirection.
+  const std::size_t lanes =
+      static_cast<std::size_t>(pool != nullptr ? pool->thread_count() : 1);
+  std::vector<std::unique_ptr<Algorithm1Context::StartScratch>> scratch;
+  scratch.reserve(lanes);
+  for (std::size_t i = 0; i < lanes; ++i) {
+    scratch.push_back(std::make_unique<Algorithm1Context::StartScratch>());
+  }
+  // Runs body(i, scratch) for i in [0, n): on the pool when parallel, each
+  // lane on its own scratch; otherwise serially on lane 0's. current_lane()
+  // is only a valid index into `scratch` INSIDE a region of this call's
+  // own pool (where the caller is normalized to 0 and workers are
+  // 1..N-1). On the serial path the executing thread may be a worker of an
+  // *outer* pool — e.g. the serving layer batching independent partition
+  // calls across its lanes — whose lane id has nothing to do with this
+  // scratch vector, so the serial path indexes lane 0 explicitly.
+  const auto for_each = [&](std::size_t n, const auto& body) {
+    if (parallel && n > 1) {
+      pool->parallel_for(n, 1, [&](std::size_t begin, std::size_t end) {
+        const auto lane = static_cast<std::size_t>(ThreadPool::current_lane());
+        for (std::size_t i = begin; i < end; ++i) body(i, *scratch[lane]);
+      });
+    } else {
+      for (std::size_t i = 0; i < n; ++i) body(i, *scratch[0]);
+    }
+  };
+
+  std::vector<DiameterPair> pairs(starts.size());
+  if (parallel) FHP_COUNTER_ADD("alg1/parallel_start_batches", 1);
+  for_each(starts.size(),
+           [&](std::size_t i, Algorithm1Context::StartScratch& s) {
+             FHP_COUNTER_ADD("alg1/starts_examined", 1);
+             FHP_HIST_SCOPE_US("alg1/pair_find_us");
+             pairs[i] = context.find_pair(starts[i], s.ws);
+           });
+
+  const std::vector<std::size_t> owner = memo_owners(pairs);
+  std::vector<std::size_t> owners;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    if (owner[i] == i) owners.push_back(i);
+  }
+  FHP_COUNTER_ADD("algorithm1/starts_memo_hits",
+                  static_cast<long long>(starts.size() - owners.size()));
+  FHP_COUNTER_ADD("algorithm1/starts_memo_misses",
+                  static_cast<long long>(owners.size()));
+
+  std::vector<Algorithm1Result> completed(starts.size());
+  for_each(owners.size(),
+           [&](std::size_t i, Algorithm1Context::StartScratch& s) {
+             // A start's latency is its unique pair's completion.
+             FHP_HIST_SCOPE_US("alg1/start_latency_us");
+             completed[owners[i]] = context.run_from_pair(pairs[owners[i]], s);
+           });
+
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < starts.size(); ++i) {
+    if (better(completed[owner[i]], completed[owner[best]], objective)) {
+      best = i;
+    }
+  }
+
+  // Workspace accounting for the whole multi-start run: the per-lane
+  // steady state grows each buffer once, so this total stays a small
+  // multiple of the lane count however many starts executed.
+  std::size_t ws_grows = 0;
+  std::size_t ws_bytes = 0;
+  for (const auto& s : scratch) {
+    ws_grows += s->ws.grow_events();
+    ws_bytes += s->ws.allocated_bytes();
+  }
+  FHP_COUNTER_ADD("workspace/buffer_grows", static_cast<long long>(ws_grows));
+  FHP_GAUGE_SET("alg1/scratch_bytes", static_cast<double>(ws_bytes));
+  return std::move(completed[owner[best]]);
+}
 
 /// Body of algorithm1(); split out so the caller can snapshot the tracer
 /// after the root span has closed (an open span has no completed total).
@@ -605,151 +667,9 @@ Algorithm1Result algorithm1_impl(const Hypergraph& h,
     starts.resize(static_cast<std::size_t>(options.num_starts));
   }
 
-  Algorithm1Result best;
-  bool have_best = false;
-  ThreadPool* pool = context.pool();
-  const bool parallel =
-      pool != nullptr && pool->thread_count() > 1 && starts.size() > 1;
-
-  // One scratch bundle per execution lane (worker lanes 1..N-1 plus the
-  // region caller as lane 0): the steady-state start loop then reuses warm
-  // buffers instead of allocating per start. Workspace is intentionally
-  // non-movable, hence the indirection.
-  const std::size_t lanes =
-      static_cast<std::size_t>(pool != nullptr ? pool->thread_count() : 1);
-  std::vector<std::unique_ptr<Algorithm1Context::StartScratch>> scratch;
-  scratch.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    scratch.push_back(std::make_unique<Algorithm1Context::StartScratch>());
-  }
-  // current_lane() is only a valid index into `scratch` INSIDE a region
-  // of this call's own pool (where the caller is normalized to 0 and
-  // workers are 1..N-1). On the serial paths the executing thread may be
-  // a worker of an *outer* pool — e.g. the serving layer batching
-  // independent partition calls across its lanes — whose lane id has
-  // nothing to do with this scratch vector, so serial call sites must
-  // index lane 0 explicitly.
-  auto lane_scratch = [&]() -> Algorithm1Context::StartScratch& {
-    return *scratch[static_cast<std::size_t>(ThreadPool::current_lane())];
-  };
-
-  if (options.memoize_starts && n >= 2) {
-    // Memoized multi-start: distinct random starts frequently converge to
-    // the same pseudo-diameter pair after the BFS sweeps, and everything
-    // downstream of the pair is a pure function of it. Four phases keep
-    // the run bit-identical to the unmemoized loop at any lane count:
-    //   1. find every start's endpoint pair (parallel);
-    //   2. dedup pairs by ORDERED (s, t) key, serially — the bidirectional
-    //      cut's tie-breaking is orientation-sensitive, so (s, t) and
-    //      (t, s) stay distinct keys;
-    //   3. complete each unique pair once (parallel);
-    //   4. reduce in start order, hits referencing their owner's result —
-    //      with the strict better() this elects exactly the candidate the
-    //      unmemoized loop would.
-    std::vector<DiameterPair> pairs(starts.size());
-    auto find_range = [&](std::size_t begin, std::size_t end,
-                          Algorithm1Context::StartScratch& s) {
-      for (std::size_t i = begin; i < end; ++i) {
-        FHP_COUNTER_ADD("alg1/starts_examined", 1);
-        FHP_HIST_SCOPE_US("alg1/pair_find_us");
-        pairs[i] = context.find_pair(starts[i], s.ws);
-      }
-    };
-    if (parallel) {
-      FHP_COUNTER_ADD("alg1/parallel_start_batches", 1);
-      pool->parallel_for(starts.size(), 1,
-                         [&](std::size_t begin, std::size_t end) {
-                           find_range(begin, end, lane_scratch());
-                         });
-    } else {
-      find_range(0, starts.size(), *scratch[0]);
-    }
-
-    std::vector<std::size_t> owner(starts.size());
-    std::unordered_map<std::uint64_t, std::size_t> first_of;
-    first_of.reserve(starts.size());
-    long long hits = 0;
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(pairs[i].s) << 32) |
-          static_cast<std::uint64_t>(pairs[i].t);
-      const auto [it, inserted] = first_of.try_emplace(key, i);
-      owner[i] = it->second;
-      if (!inserted) ++hits;
-    }
-    FHP_COUNTER_ADD("algorithm1/starts_memo_hits", hits);
-    FHP_COUNTER_ADD("algorithm1/starts_memo_misses",
-                    static_cast<long long>(starts.size()) - hits);
-
-    std::vector<std::size_t> owners;
-    owners.reserve(first_of.size());
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      if (owner[i] == i) owners.push_back(i);
-    }
-    std::vector<Algorithm1Result> completed(starts.size());
-    auto complete_range = [&](std::size_t begin, std::size_t end,
-                              Algorithm1Context::StartScratch& s) {
-      for (std::size_t i = begin; i < end; ++i) {
-        // Same histogram as the unmemoized per-start path: a memo run's
-        // "starts" are the unique pairs it actually completes.
-        FHP_HIST_SCOPE_US("alg1/start_latency_us");
-        completed[owners[i]] = context.run_from_pair(pairs[owners[i]], s);
-      }
-    };
-    if (parallel && owners.size() > 1) {
-      pool->parallel_for(owners.size(), 1,
-                         [&](std::size_t begin, std::size_t end) {
-                           complete_range(begin, end, lane_scratch());
-                         });
-    } else {
-      complete_range(0, owners.size(), *scratch[0]);
-    }
-
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      const Algorithm1Result& candidate = completed[owner[i]];
-      if (!have_best || better(candidate, best, options.objective)) {
-        best = candidate;
-        have_best = true;
-      }
-    }
-  } else if (parallel) {
-    // Each start is deterministic given its G-vertex, so the only way
-    // thread count could leak into the answer is reduction order — and the
-    // reduction below walks candidates in start order, exactly like the
-    // serial loop, so ties resolve identically at any lane count.
-    FHP_COUNTER_ADD("alg1/parallel_start_batches", 1);
-    std::vector<Algorithm1Result> candidates =
-        pool->parallel_map<Algorithm1Result>(starts.size(), [&](std::size_t i) {
-          return context.run_single(starts[i], lane_scratch());
-        });
-    for (Algorithm1Result& candidate : candidates) {
-      if (!have_best || better(candidate, best, options.objective)) {
-        best = std::move(candidate);
-        have_best = true;
-      }
-    }
-  } else {
-    for (VertexId start : starts) {
-      Algorithm1Result candidate = context.run_single(start, *scratch[0]);
-      if (!have_best || better(candidate, best, options.objective)) {
-        best = std::move(candidate);
-        have_best = true;
-      }
-    }
-  }
-  FHP_ASSERT(have_best, "at least one start must run");
-
-  // Workspace accounting for the whole multi-start run: the per-lane
-  // steady state grows each buffer once, so this total stays a small
-  // multiple of the lane count however many starts executed.
-  std::size_t ws_grows = 0;
-  std::size_t ws_bytes = 0;
-  for (const auto& s : scratch) {
-    ws_grows += s->ws.grow_events();
-    ws_bytes += s->ws.allocated_bytes();
-  }
-  FHP_COUNTER_ADD("workspace/buffer_grows", static_cast<long long>(ws_grows));
-  FHP_GAUGE_SET("alg1/scratch_bytes", static_cast<double>(ws_bytes));
+  Algorithm1Result best = n == 1 ? context.run_single_net()
+                                 : run_starts(context, starts,
+                                              options.objective);
 
   // Optional extra candidate: when some modules sit on no (surviving)
   // net, the cut "all netted modules | floating modules" loses no

@@ -32,7 +32,6 @@
 #include "partition/metrics.hpp"
 #include "partition/partition.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 #include "util/workspace.hpp"
 
 namespace fhp {
@@ -65,45 +64,24 @@ struct Algorithm1Options {
   /// "a size threshold as low as k >= 10 [has] very small expected error".
   std::uint32_t large_edge_threshold = 10;
   /// Number of random longest-path starts examined; the best completion
-  /// wins. Paper §4 used 50.
+  /// wins. Paper §4 used 50. Distinct starts frequently converge to the
+  /// same pseudo-diameter pair, and everything downstream of the pair is a
+  /// pure function of it, so each distinct ordered pair is completed once
+  /// and repeats reuse its result (the algorithm1/starts_memo_{hits,misses}
+  /// counters; docs/performance.md).
   int num_starts = 50;
-  /// BFS sweeps when hunting for a pseudo-diameter endpoint pair
-  /// (1 = the paper's single "longest BFS path", 2 = double sweep).
-  int bfs_sweeps = 2;
   /// Boundary completion strategy.
   CompletionStrategy completion = CompletionStrategy::kGreedy;
   /// How the initial cut of G is produced per start.
   InitialCutStrategy initial_cut = InitialCutStrategy::kBidirectionalBfs;
   /// Selection objective across starts.
   Objective objective = Objective::kCutsize;
-  /// Assign modules not forced by any net (isolated, or touched only by
-  /// loser nets) to the lighter side. Disable to study the raw heuristic.
-  bool balance_free_vertices = true;
   /// Also consider the "floating split" candidate — modules on no
   /// surviving net versus everything else — which cuts zero filtered nets
   /// but can be arbitrarily unbalanced. Off by default (the published
   /// Algorithm I never inspects it); turn on when hunting the absolute
   /// minimum proper cut.
   bool consider_floating_split = false;
-  /// Memoize completed starts by their pseudo-diameter endpoint pair:
-  /// distinct random starts frequently converge to the same (s, t) after
-  /// the BFS sweeps, and everything downstream of the pair is a pure
-  /// function of it, so repeat pairs reuse the completed result instead of
-  /// recomputing it. Bit-identical to the unmemoized run at any thread
-  /// count (hits are counted deterministically; see docs/performance.md).
-  /// Off = recompute every start (the pre-memoization behavior, kept for
-  /// differential benching/testing).
-  bool memoize_starts = true;
-  /// Relabel the intersection graph for cache locality before the starts
-  /// run (graph/reorder.hpp, RCM-lite ordering): the BFS-heavy steps 1-2
-  /// then traverse nearly-sequential memory instead of hopping across a
-  /// CSR laid out in net-numbering order. The initial cut is mapped back
-  /// through the inverse permutation before boundary extraction, and
-  /// `farthest` tie-breaks compare original net ids, so the partition —
-  /// not merely the cutsize — is bit-identical with reorder on or off at
-  /// any thread count (gated by bench_hotpath and the reorder property
-  /// test; see docs/performance.md). Off = traverse in input order.
-  bool reorder = true;
   /// RNG seed; every run with the same seed and input is identical.
   std::uint64_t seed = 1;
   /// Execution lanes for the multi-start loop and the intersection-graph
@@ -141,12 +119,40 @@ struct Algorithm1Result {
 [[nodiscard]] Algorithm1Result algorithm1(const Hypergraph& h,
                                           const Algorithm1Options& options = {});
 
+/// BFS sweeps when hunting for a pseudo-diameter endpoint pair: the
+/// classic double sweep (the paper's "longest BFS path" is one sweep).
+inline constexpr int kPseudoDiameterSweeps = 2;
+
+/// Start memoization's dedup: owner[i] is the first index j <= i with
+/// pairs[j] == pairs[i] as an ORDERED (s, t) pair — the bidirectional
+/// cut's tie-breaking is orientation-sensitive, so (s, t) and (t, s) are
+/// distinct keys. Keyed on the pair itself, so it is exact at any id
+/// width.
+[[nodiscard]] std::vector<std::size_t> memo_owners(
+    std::span<const DiameterPair> pairs);
+
 /// Precomputed state shared across starts; exposed so tests and benches
 /// can run single deterministic starts.
+///
+/// The BFS-heavy steps (pair finding, initial cut) traverse the
+/// intersection graph relabeled for cache locality (graph/reorder.hpp,
+/// RCM-lite ordering), so they walk nearly-sequential memory instead of
+/// hopping across a CSR laid out in net-numbering order. `farthest`
+/// tie-breaks compare original net ids and the initial cut is mapped back
+/// through the inverse permutation before boundary extraction, so every
+/// result is exactly the one the unpermuted traversal would produce
+/// (tests/test_reorder.cpp checks this against a reference that runs the
+/// BFS steps on intersection() directly). When the ordering comes out as
+/// the identity no relabeled copy is built; traversal goes through the
+/// same permutation maps either way.
 class Algorithm1Context {
  public:
-  /// Prepares the filtered hypergraph and its intersection graph.
+  /// Prepares the filtered hypergraph, its intersection graph and the
+  /// locality permutation.
   Algorithm1Context(const Hypergraph& h, const Algorithm1Options& options);
+  // Holds a pointer into itself (traversal_), so it stays put.
+  Algorithm1Context(const Algorithm1Context&) = delete;
+  Algorithm1Context& operator=(const Algorithm1Context&) = delete;
 
   /// The original hypergraph.
   [[nodiscard]] const Hypergraph& original() const noexcept { return *h_; }
@@ -160,18 +166,6 @@ class Algorithm1Context {
   }
   /// True iff the filtered intersection graph is disconnected or empty.
   [[nodiscard]] bool is_degenerate() const noexcept { return degenerate_; }
-  /// True iff a non-identity locality permutation is in effect
-  /// (Algorithm1Options::reorder on a non-degenerate instance).
-  [[nodiscard]] bool reordered() const noexcept { return reordered_; }
-  /// The locality permutation (identity-sized only when reordered()).
-  [[nodiscard]] const Permutation& permutation() const noexcept {
-    return perm_;
-  }
-  /// The graph the BFS steps actually traverse: the permuted intersection
-  /// graph when reordered(), otherwise intersection() itself.
-  [[nodiscard]] const Graph& traversal_graph() const noexcept {
-    return reordered_ ? g_perm_ : g_;
-  }
 
   /// Reusable per-start (per-lane) scratch: the Workspace substrate plus
   /// the structures the pipeline refills every start. One StartScratch per
@@ -190,20 +184,18 @@ class Algorithm1Context {
     std::vector<Weight> node_weight;        ///< weighted-completion pulls
   };
 
-  /// Runs one start from G-vertex \p start; returns the completed result.
-  /// Precondition: !is_degenerate() and start < intersection().num_vertices().
-  [[nodiscard]] Algorithm1Result run_single(VertexId start) const;
-
-  /// Workspace-backed run_single: bit-identical result, scratch reused
-  /// from \p scratch (the caller keeps one per lane across starts).
+  /// Runs one start from G-vertex \p start on \p scratch (the caller keeps
+  /// one per lane across starts); returns the completed result. This is
+  /// find_pair() then run_from_pair(), or run_single_net() when G has one
+  /// vertex. Precondition: !is_degenerate() and
+  /// start < intersection().num_vertices().
   [[nodiscard]] Algorithm1Result run_single(VertexId start,
                                             StartScratch& scratch) const;
 
   /// Steps 1-2 only: the pseudo-diameter endpoint pair of \p start's
-  /// random longest BFS path. Everything downstream of the pair is a pure
-  /// function of it — the memoization key (ordered: the bidirectional
-  /// cut's tie-breaking is orientation-sensitive, so (s, t) and (t, s) are
-  /// distinct keys). Precondition: !is_degenerate() and
+  /// random longest BFS path, in original G-vertex ids. Everything
+  /// downstream of the pair is a pure function of it — the memoization key
+  /// (see memo_owners()). Precondition: !is_degenerate() and
   /// intersection().num_vertices() >= 2.
   [[nodiscard]] DiameterPair find_pair(VertexId start, Workspace& ws) const;
 
@@ -216,47 +208,38 @@ class Algorithm1Context {
   /// packs connected blocks onto two sides by weight.
   [[nodiscard]] Algorithm1Result run_degenerate() const;
 
+  /// Handles the single-net case (G is one vertex, so every start is the
+  /// same): the only proper options are "net on one side, the rest on the
+  /// other" (cut 0) or splitting the net; prefers the former. Counts as
+  /// one examined start. Precondition: !is_degenerate() and
+  /// intersection().num_vertices() == 1.
+  [[nodiscard]] Algorithm1Result run_single_net() const;
+
   /// Candidate that separates modules on no surviving net from the rest
   /// (cuts no filtered net at all). Returns an improper (rejectable)
   /// result when there are no floating modules.
   [[nodiscard]] Algorithm1Result run_floating_split() const;
 
-  /// Steps 3-5 of the pipeline: given a 0/1 side per G-vertex, extract
-  /// the boundary, complete it with the configured strategy, and assemble
-  /// a full module partition. Exposed for experimentation with custom
-  /// initial cuts.
+  /// Steps 3-5 of the pipeline: given a 0/1 side per G-vertex (original
+  /// ids), extract the boundary, complete it with the configured strategy,
+  /// and assemble a full module partition on \p scratch. Exposed for
+  /// experimentation with custom initial cuts.
   [[nodiscard]] Algorithm1Result complete_from_cut(
-      std::vector<std::uint8_t> g_side) const;
+      std::span<const std::uint8_t> g_side, StartScratch& scratch) const;
 
   /// The context's thread pool, or null when the configuration is serial
   /// (Algorithm1Options::threads resolved to 1).
   [[nodiscard]] ThreadPool* pool() const noexcept { return pool_.get(); }
 
-  /// Deterministic per-start generator: the fork(start_index) child of a
-  /// master seeded from options.seed. The contract (see Rng::fork): equal
-  /// (seed, start_index) gives a bit-equal stream regardless of thread
-  /// count or the order starts execute in. The current pipeline draws no
-  /// randomness after the start permutation, so this exists as the
-  /// substrate for future stochastic per-start steps (randomized
-  /// tie-breaks, perturbation restarts).
-  [[nodiscard]] Rng start_rng(std::uint64_t start_index) const noexcept {
-    return Rng(options_.seed).fork(start_index);
-  }
-
  private:
-  /// Steps 3-5 body shared by complete_from_cut() and run_from_pair():
-  /// boundary extraction, completion, and assembly on \p scratch.
-  [[nodiscard]] Algorithm1Result complete_from_cut_impl(
-      std::span<const std::uint8_t> g_side, StartScratch& scratch) const;
-
   const Hypergraph* h_;
   Algorithm1Options options_;
   std::unique_ptr<ThreadPool> pool_;
   Hypergraph filtered_;
   Graph g_;
-  Permutation perm_;   ///< locality relabeling of g_ (when reordered_)
-  Graph g_perm_;       ///< g_ relabeled by perm_ (when reordered_)
-  bool reordered_ = false;
+  Permutation perm_;   ///< locality relabeling of g_ (empty if degenerate)
+  Graph g_perm_;       ///< g_ relabeled by perm_ (empty if the identity)
+  const Graph* traversal_ = &g_;  ///< g_perm_, or g_ for the identity
   bool degenerate_ = false;
   std::vector<VertexId> g_component_;  ///< component label per G-vertex
   VertexId g_component_count_ = 0;

@@ -1,7 +1,5 @@
 #include "core/boundary.hpp"
 
-#include <utility>
-
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -58,16 +56,6 @@ void extract_boundary(const Graph& g, std::span<const std::uint8_t> g_side,
   }
   out.boundary_graph = Graph::from_sorted_unique_edges(
       static_cast<VertexId>(out.boundary_nodes.size()), ws.pairs);
-}
-
-BoundaryStructure extract_boundary(const Graph& g,
-                                   std::vector<std::uint8_t> g_side) {
-  Workspace ws;
-  BoundaryStructure b;
-  extract_boundary(g, std::span<const std::uint8_t>(g_side), ws, b);
-  FHP_COUNTER_ADD("workspace/buffer_grows",
-                  static_cast<long long>(ws.grow_events()));
-  return b;
 }
 
 }  // namespace fhp

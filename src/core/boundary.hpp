@@ -44,16 +44,11 @@ struct BoundaryStructure {
 };
 
 /// Computes the boundary structure of cut \p g_side (one 0/1 entry per
-/// G-vertex) on intersection graph \p g.
-[[nodiscard]] BoundaryStructure extract_boundary(
-    const Graph& g, std::vector<std::uint8_t> g_side);
-
-/// Workspace-backed variant: refills \p out in place (its vectors keep
-/// their capacity across calls, so a lane that reuses one BoundaryStructure
-/// per start extracts boundaries allocation-free once warm) and stages the
-/// boundary-graph edge list in `ws.pairs`. \p g_side is copied into
-/// out.g_side. The resulting structure — including the boundary graph's
-/// CSR — is bit-identical to the allocating overload's.
+/// G-vertex) on intersection graph \p g. Refills \p out in place (its
+/// vectors keep their capacity across calls, so a lane that reuses one
+/// BoundaryStructure per start extracts boundaries allocation-free once
+/// warm) and stages the boundary-graph edge list in `ws.pairs`. \p g_side
+/// is copied into out.g_side.
 void extract_boundary(const Graph& g, std::span<const std::uint8_t> g_side,
                       Workspace& ws, BoundaryStructure& out);
 

@@ -14,8 +14,8 @@ namespace {
 /// Bucketed min-degree queue with lazy entries: vertices are (re)pushed
 /// whenever their degree drops; stale entries are skipped at pop time.
 /// Gives the O(V + E) overall bound for the greedy sweeps. Storage is
-/// borrowed from the caller (a Workspace lane or per-call locals), so a
-/// reused lane runs the queue allocation-free once its buffers are warm.
+/// borrowed from the caller's Workspace, so a reused lane runs the queue
+/// allocation-free once its buffers are warm.
 class MinDegreeQueue {
  public:
   MinDegreeQueue(const Graph& g, std::uint32_t max_degree,
@@ -126,15 +126,6 @@ void complete_cut_greedy(const Graph& bg, Workspace& ws,
   }
 }
 
-CompletionResult complete_cut_greedy(const Graph& bg) {
-  Workspace ws;
-  CompletionResult result;
-  complete_cut_greedy(bg, ws, result);
-  FHP_COUNTER_ADD("workspace/buffer_grows",
-                  static_cast<long long>(ws.grow_events()));
-  return result;
-}
-
 void complete_cut_weighted(const Graph& bg, std::span<const std::uint8_t> side,
                            std::span<const Weight> node_weight,
                            Weight initial_weight0, Weight initial_weight1,
@@ -169,20 +160,6 @@ void complete_cut_weighted(const Graph& bg, std::span<const std::uint8_t> side,
     settle_winner(bg, v, alive, queue, out);
     queue.reset_floor();  // eligibility may flip sides next round
   }
-}
-
-CompletionResult complete_cut_weighted(const Graph& bg,
-                                       std::span<const std::uint8_t> side,
-                                       std::span<const Weight> node_weight,
-                                       Weight initial_weight0,
-                                       Weight initial_weight1) {
-  Workspace ws;
-  CompletionResult result;
-  complete_cut_weighted(bg, side, node_weight, initial_weight0,
-                        initial_weight1, ws, result);
-  FHP_COUNTER_ADD("workspace/buffer_grows",
-                  static_cast<long long>(ws.grow_events()));
-  return result;
 }
 
 CompletionResult complete_cut_exact(const Graph& bg,

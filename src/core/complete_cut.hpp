@@ -44,30 +44,21 @@ struct CompletionResult {
 };
 
 /// The paper's Complete-Cut greedy on boundary graph \p bg. Ties on degree
-/// break toward the lowest vertex id (deterministic).
-[[nodiscard]] CompletionResult complete_cut_greedy(const Graph& bg);
-
-/// Workspace-backed Complete-Cut greedy: the bucketed min-degree queue
-/// borrows `ws.degree` / `ws.buckets` and the liveness array borrows
-/// `ws.flags`, so a warmed-up lane completes cuts allocation-free. \p out
-/// is refilled in place (winner keeps its capacity). Results are
-/// bit-identical to the allocating overload.
+/// break toward the lowest vertex id (deterministic). The bucketed
+/// min-degree queue borrows `ws.degree` / `ws.buckets` and the liveness
+/// array borrows `ws.flags`, so a warmed-up lane completes cuts
+/// allocation-free. \p out is refilled in place (winner keeps its
+/// capacity).
 void complete_cut_greedy(const Graph& bg, Workspace& ws,
                          CompletionResult& out);
 
-/// Weighted variant: \p side is the proper 2-coloring of \p bg,
-/// \p node_weight[v] is the module weight a winner v would pull to its side
-/// (the pins not already forced by the partial bipartition), and
-/// \p initial_weight{0,1} are the side weights already forced. Each step
-/// picks the minimum-degree remaining vertex on the lighter side (either
-/// side when equal; falls back to the other side when one is exhausted).
-[[nodiscard]] CompletionResult complete_cut_weighted(
-    const Graph& bg, std::span<const std::uint8_t> side,
-    std::span<const Weight> node_weight, Weight initial_weight0,
-    Weight initial_weight1);
-
-/// Workspace-backed engineer's rule; see complete_cut_greedy(ws) for the
-/// buffer contract.
+/// Weighted variant (engineer's rule): \p side is the proper 2-coloring
+/// of \p bg, \p node_weight[v] is the module weight a winner v would pull
+/// to its side (the pins not already forced by the partial bipartition),
+/// and \p initial_weight{0,1} are the side weights already forced. Each
+/// step picks the minimum-degree remaining vertex on the lighter side
+/// (either side when equal; falls back to the other side when one is
+/// exhausted). Same buffer contract as complete_cut_greedy().
 void complete_cut_weighted(const Graph& bg, std::span<const std::uint8_t> side,
                            std::span<const Weight> node_weight,
                            Weight initial_weight0, Weight initial_weight1,

@@ -15,43 +15,16 @@ namespace {
 
 using EdgeList = std::vector<std::pair<VertexId, VertexId>>;
 
-/// Marks nets above the size threshold (they never contribute pairs, so
-/// their pins cost O(deg) instead of O(deg^2); skipped nets keep their
-/// G-vertex, isolated). Empty result = no filter.
-std::vector<char> mark_skipped(const Hypergraph& h,
-                               const IntersectionOptions& options) {
-  std::vector<char> skip;
-  if (options.large_edge_threshold > 0) {
-    skip.assign(h.num_edges(), 0);
-    long long skipped = 0;
-    for (EdgeId e = 0; e < h.num_edges(); ++e) {
-      if (h.edge_size(e) > options.large_edge_threshold) {
-        skip[e] = 1;
-        ++skipped;
-      }
-    }
-    FHP_COUNTER_ADD("intersection/nets_skipped", skipped);
-  }
-  return skip;
-}
-
 /// The pair count the emit-all-pairs builder would materialize: one pair
-/// per unordered kept-net couple per module. The counting build computes it
-/// arithmetically in O(pins) so the "intersection/pairs_emitted" counter
-/// keeps its historical meaning (and stays comparable to
+/// per unordered net couple per module. The counting build computes it
+/// arithmetically in O(modules) so the "intersection/pairs_emitted"
+/// counter keeps its historical meaning (and stays comparable to
 /// "intersection/edges_after_dedup") without emitting anything.
-long long count_raw_pairs(const Hypergraph& h, const std::vector<char>& skip) {
+[[maybe_unused]] long long count_raw_pairs(const Hypergraph& h) {
   long long pairs = 0;
   for (VertexId v = 0; v < h.num_vertices(); ++v) {
-    long long kept = 0;
-    if (skip.empty()) {
-      kept = static_cast<long long>(h.nets_of(v).size());
-    } else {
-      for (const EdgeId e : h.nets_of(v)) {
-        if (!skip[e]) ++kept;
-      }
-    }
-    pairs += kept * (kept - 1) / 2;
+    const auto deg = static_cast<long long>(h.nets_of(v).size());
+    pairs += deg * (deg - 1) / 2;
   }
   return pairs;
 }
@@ -59,15 +32,11 @@ long long count_raw_pairs(const Hypergraph& h, const std::vector<char>& skip) {
 /// Emits the normalized (min, max) net pairs of modules [begin, end) into
 /// \p out and deduplicates the chunk locally (sort + unique). Returns the
 /// raw pair count before deduplication, which depends only on the
-/// hypergraph and the skip set — never on how the range was chunked.
-/// \p kept is caller-owned scratch (hoisted so parallel shards reuse one
-/// buffer per lane instead of reallocating per chunk invocation).
-std::size_t emit_module_range(const Hypergraph& h,
-                              const std::vector<char>& skip,
-                              std::size_t begin, std::size_t end,
-                              std::vector<EdgeId>& kept, EdgeList& out) {
-  // Cheap upper bound on this range's emission — sum deg(deg-1)/2 over the
-  // unfiltered module degrees — so the pair buffer grows at most once.
+/// hypergraph — never on how the range was chunked.
+std::size_t emit_module_range(const Hypergraph& h, std::size_t begin,
+                              std::size_t end, EdgeList& out) {
+  // Exact size of this range's emission — sum deg(deg-1)/2 over the
+  // module degrees — so the pair buffer grows at most once.
   std::size_t bound = 0;
   for (std::size_t v = begin; v < end; ++v) {
     const std::size_t deg = h.nets_of(static_cast<VertexId>(v)).size();
@@ -78,14 +47,10 @@ std::size_t emit_module_range(const Hypergraph& h,
   std::size_t pairs = 0;
   for (std::size_t v = begin; v < end; ++v) {
     const auto nets = h.nets_of(static_cast<VertexId>(v));
-    kept.clear();
-    for (const EdgeId e : nets) {
-      if (skip.empty() || !skip[e]) kept.push_back(e);
-    }
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      for (std::size_t j = i + 1; j < kept.size(); ++j) {
-        const EdgeId a = kept[i];
-        const EdgeId b = kept[j];
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      for (std::size_t j = i + 1; j < nets.size(); ++j) {
+        const EdgeId a = nets[i];
+        const EdgeId b = nets[j];
         out.emplace_back(std::min(a, b), std::max(a, b));
         ++pairs;
       }
@@ -98,18 +63,15 @@ std::size_t emit_module_range(const Hypergraph& h,
 
 }  // namespace
 
-Graph intersection_graph(const Hypergraph& h,
-                         const IntersectionOptions& options) {
+Graph intersection_graph(const Hypergraph& h, ThreadPool* pool) {
   FHP_TRACE_SCOPE("intersection");
   FHP_COUNTER_ADD("intersection/builds", 1);
   FHP_HIST_SCOPE_US("intersection/build_us");
-
-  const std::vector<char> skip = mark_skipped(h, options);
-  FHP_COUNTER_ADD("intersection/pairs_emitted", count_raw_pairs(h, skip));
+  FHP_COUNTER_ADD("intersection/pairs_emitted", count_raw_pairs(h));
 
   // Two-pass counting construction, O(sum over modules of degree^2) with
   // no pair materialization and no global sort: pass 1 counts each net's
-  // distinct kept co-nets, a prefix sum turns counts into CSR offsets, and
+  // distinct co-nets, a prefix sum turns counts into CSR offsets, and
   // pass 2 writes each row and sorts it locally. Rows are independent, so
   // the parallel path shards the net range; the resulting CSR is a pure
   // function of the hypergraph — bit-identical to the reference builder at
@@ -117,9 +79,8 @@ Graph intersection_graph(const Hypergraph& h,
   const std::size_t m = h.num_edges();
   std::vector<std::size_t> offsets(m + 1, 0);
 
-  const bool parallel =
-      options.pool != nullptr && options.pool->thread_count() > 1 && m > 1;
-  const int lanes = parallel ? options.pool->thread_count() : 1;
+  const bool parallel = pool != nullptr && pool->thread_count() > 1 && m > 1;
+  const int lanes = parallel ? pool->thread_count() : 1;
 
   // Per-lane dedup stamps: mark[f] == (pass << 33 | e + 1) means net f was
   // already recorded for net e in that pass. One 64-bit array per lane
@@ -133,18 +94,15 @@ Graph intersection_graph(const Hypergraph& h,
     if (marks.size() < m) marks.assign(m, 0);
     return marks;
   };
-  auto skipped = [&](EdgeId f) { return !skip.empty() && skip[f] != 0; };
-
   auto count_range = [&](std::size_t begin, std::size_t end) {
     std::vector<std::uint64_t>& marks = marks_of_lane();
     for (std::size_t e = begin; e < end; ++e) {
       const auto eid = static_cast<EdgeId>(e);
-      if (skipped(eid)) continue;  // isolated G-vertex, row stays empty
       const std::uint64_t stamp = (1ULL << 33) | (e + 1);
       std::size_t deg = 0;
       for (const VertexId v : h.pins(eid)) {
         for (const EdgeId f : h.nets_of(v)) {
-          if (f == eid || skipped(f) || marks[f] == stamp) continue;
+          if (f == eid || marks[f] == stamp) continue;
           marks[f] = stamp;
           ++deg;
         }
@@ -155,7 +113,7 @@ Graph intersection_graph(const Hypergraph& h,
 
   const std::size_t grain = std::max<std::size_t>(std::size_t{64}, m / 256);
   if (parallel) {
-    options.pool->parallel_for(m, grain, count_range);
+    pool->parallel_for(m, grain, count_range);
   } else if (m > 0) {
     count_range(0, m);
   }
@@ -167,12 +125,11 @@ Graph intersection_graph(const Hypergraph& h,
     std::vector<std::uint64_t>& marks = marks_of_lane();
     for (std::size_t e = begin; e < end; ++e) {
       const auto eid = static_cast<EdgeId>(e);
-      if (skipped(eid)) continue;
       const std::uint64_t stamp = (2ULL << 33) | (e + 1);
       std::size_t cursor = offsets[e];
       for (const VertexId v : h.pins(eid)) {
         for (const EdgeId f : h.nets_of(v)) {
-          if (f == eid || skipped(f) || marks[f] == stamp) continue;
+          if (f == eid || marks[f] == stamp) continue;
           marks[f] = stamp;
           adjacency[cursor++] = f;
         }
@@ -185,7 +142,7 @@ Graph intersection_graph(const Hypergraph& h,
   };
 
   if (parallel) {
-    options.pool->parallel_for(m, grain, fill_range);
+    pool->parallel_for(m, grain, fill_range);
   } else if (m > 0) {
     fill_range(0, m);
   }
@@ -195,37 +152,26 @@ Graph intersection_graph(const Hypergraph& h,
   return Graph::from_csr(std::move(offsets), std::move(adjacency));
 }
 
-Graph intersection_graph_reference(const Hypergraph& h,
-                                   const IntersectionOptions& options) {
+Graph intersection_graph_reference(const Hypergraph& h, ThreadPool* pool) {
   FHP_TRACE_SCOPE("intersection");
   FHP_COUNTER_ADD("intersection/reference_builds", 1);
 
-  const std::vector<char> skip = mark_skipped(h, options);
-
   const std::size_t n = h.num_vertices();
   EdgeList edges;
-  const bool parallel =
-      options.pool != nullptr && options.pool->thread_count() > 1 && n > 1;
+  const bool parallel = pool != nullptr && pool->thread_count() > 1 && n > 1;
   if (parallel) {
     // Chunk boundaries depend only on n, so the shard layout — and after
     // the global canonicalization below, the final CSR — is identical at
-    // any lane count. The kept-net scratch is per lane, not per chunk.
+    // any lane count.
     const std::size_t grain = std::max<std::size_t>(std::size_t{64}, n / 256);
     const std::size_t chunks = (n + grain - 1) / grain;
     std::vector<EdgeList> shards(chunks);
-    std::vector<std::vector<EdgeId>> lane_kept(
-        static_cast<std::size_t>(options.pool->thread_count()));
     std::atomic<long long> pairs{0};
-    options.pool->parallel_for(
-        n, grain, [&](std::size_t begin, std::size_t end) {
-          EdgeList& shard = shards[begin / grain];
-          std::vector<EdgeId>& kept =
-              lane_kept[static_cast<std::size_t>(ThreadPool::current_lane())];
-          const std::size_t raw =
-              emit_module_range(h, skip, begin, end, kept, shard);
-          pairs.fetch_add(static_cast<long long>(raw),
-                          std::memory_order_relaxed);
-        });
+    pool->parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
+      const std::size_t raw =
+          emit_module_range(h, begin, end, shards[begin / grain]);
+      pairs.fetch_add(static_cast<long long>(raw), std::memory_order_relaxed);
+    });
     std::size_t total = 0;
     for (const EdgeList& shard : shards) total += shard.size();
     edges.reserve(total);
@@ -237,8 +183,7 @@ Graph intersection_graph_reference(const Hypergraph& h,
     FHP_COUNTER_ADD("intersection/pairs_emitted", raw_pairs);
     static_cast<void>(raw_pairs);
   } else {
-    std::vector<EdgeId> kept;
-    const std::size_t raw = emit_module_range(h, skip, 0, n, kept, edges);
+    const std::size_t raw = emit_module_range(h, 0, n, edges);
     FHP_COUNTER_ADD("intersection/pairs_emitted",
                     static_cast<long long>(raw));
     static_cast<void>(raw);
@@ -253,10 +198,6 @@ Graph intersection_graph_reference(const Hypergraph& h,
   FHP_COUNTER_ADD("intersection/edges_after_dedup", final_edges);
   static_cast<void>(final_edges);
   return Graph::from_sorted_unique_edges(h.num_edges(), edges);
-}
-
-Graph intersection_graph(const Hypergraph& h) {
-  return intersection_graph(h, IntersectionOptions{});
 }
 
 }  // namespace fhp

@@ -4,49 +4,33 @@
 /// nets share a module. G-vertex i corresponds to edge i of H.
 #pragma once
 
-#include <cstdint>
-
 #include "graph/graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "util/parallel.hpp"
 
 namespace fhp {
 
-/// Tuning knobs for intersection_graph().
-struct IntersectionOptions {
-  /// Nets with more than this many pins are skipped before pair
-  /// enumeration (their G-vertices stay isolated) — the paper's large-net
-  /// relaxation applied in-place, without materializing a filtered
-  /// hypergraph. 0 disables the filter (every net participates).
-  std::uint32_t large_edge_threshold = 0;
-  /// Optional pool for the sharded parallel build: module ranges are
-  /// enumerated into per-chunk edge shards, chunk-locally deduplicated,
-  /// then merged and canonicalized globally — so the resulting CSR is
-  /// bit-identical at any lane count. Null (or a 1-lane pool) runs the
-  /// build serially.
-  ThreadPool* pool = nullptr;
-};
-
 /// Builds the intersection graph of \p h with the two-pass counting
 /// construction: per-net degree counting (64-bit dedup stamps, one marker
 /// array per lane), a prefix sum into CSR offsets, then a fill pass with a
 /// per-row sort only. Cost is O(sum over modules of degree^2) — for
 /// bounded module degree (the regime the paper analyses and the reason for
-/// its large-net filter) this is O(pins) — with no candidate-pair
-/// materialization and no global sort. The CSR is bit-identical to
-/// intersection_graph_reference() at any lane count (test-enforced).
+/// its large-net filter, which callers apply to \p h beforehand) this is
+/// O(pins) — with no candidate-pair materialization and no global sort.
+/// \p pool shards the net range across lanes (null or a 1-lane pool runs
+/// serially); the CSR is bit-identical to intersection_graph_reference()
+/// at any lane count (test-enforced).
 [[nodiscard]] Graph intersection_graph(const Hypergraph& h,
-                                       const IntersectionOptions& options);
-
-/// Serial build with no net-size filter (historical entry point).
-[[nodiscard]] Graph intersection_graph(const Hypergraph& h);
+                                       ThreadPool* pool = nullptr);
 
 /// Reference builder (the pre-optimization pipeline): emit every candidate
 /// pair per module, shard-locally dedup, globally sort + unique, then
 /// assemble the CSR. Kept as the differential-testing oracle for the
 /// counting build and as the baseline leg of bench_hotpath; its output is
 /// bit-identical to intersection_graph() by construction and by test.
-[[nodiscard]] Graph intersection_graph_reference(
-    const Hypergraph& h, const IntersectionOptions& options = {});
+/// Module ranges are chunked by size only, so the shard layout (and after
+/// global canonicalization the CSR) is the same at any lane count.
+[[nodiscard]] Graph intersection_graph_reference(const Hypergraph& h,
+                                                 ThreadPool* pool = nullptr);
 
 }  // namespace fhp

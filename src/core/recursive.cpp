@@ -10,25 +10,6 @@
 
 namespace fhp {
 
-namespace {
-
-/// Cut-weight change of moving \p v to the other side (the classic cell
-/// gain; positive = moving uncuts more weight than it cuts).
-Weight move_gain(const Bipartition& p, VertexId v) {
-  const Hypergraph& h = p.hypergraph();
-  const std::uint8_t s = p.side(v);
-  Weight gain = 0;
-  for (EdgeId e : h.nets_of(v)) {
-    if (p.pins_on_side(e, s) == 1) gain += h.edge_weight(e);
-    if (p.pins_on_side(e, static_cast<std::uint8_t>(1 - s)) == 0) {
-      gain -= h.edge_weight(e);
-    }
-  }
-  return gain;
-}
-
-}  // namespace
-
 void rebalance_bipartition(Bipartition& p, double target_frac0,
                            double tolerance) {
   const Hypergraph& h = p.hypergraph();
@@ -46,7 +27,7 @@ void rebalance_bipartition(Bipartition& p, double target_frac0,
   // net with the flipped one, so per-move work is O(deg · log n) instead
   // of the full-rescan O(n · pins) the legacy loop paid.
   std::vector<Weight> gain(n);
-  for (VertexId v = 0; v < n; ++v) gain[v] = move_gain(p, v);
+  for (VertexId v = 0; v < n; ++v) gain[v] = p.move_gain(v);
 
   // Per-side lazy max-heaps of (gain, id) snapshots. A popped snapshot is
   // live only if the module is still on that side with that gain;
@@ -88,7 +69,7 @@ void rebalance_bipartition(Bipartition& p, double target_frac0,
 
     p.flip(best);
     dev0 = static_cast<double>(p.weight(0)) - target0;
-    gain[best] = move_gain(p, best);
+    gain[best] = p.move_gain(best);
     heaps[1 - heavy].emplace(gain[best], best);
 
     // Refresh the gains the flip invalidated: exactly the modules
@@ -103,7 +84,7 @@ void rebalance_bipartition(Bipartition& p, double target_frac0,
     }
     for (VertexId u : touched) {
       touched_mark[u] = 0;
-      const Weight g = move_gain(p, u);
+      const Weight g = p.move_gain(u);
       if (g != gain[u]) {
         gain[u] = g;
         heaps[p.side(u)].emplace(g, u);

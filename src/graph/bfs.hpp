@@ -31,7 +31,6 @@
 
 #include "graph/graph.hpp"
 #include "util/ids.hpp"
-#include "util/rng.hpp"
 #include "util/workspace.hpp"
 
 namespace fhp {
@@ -41,25 +40,13 @@ inline constexpr std::uint32_t kUnreachable = 0xffffffffU;
 
 /// Tuning of the direction-optimizing traversal engine. Results are
 /// bit-identical at any setting (the heuristic only chooses how a level is
-/// expanded, never what it contains), so these are pure performance knobs.
-///
-/// The defaults are NOT the classic Beamer (14, 24) scale-free settings:
-/// intersection graphs here are near-uniform-degree with non-trivial
-/// diameter, where an eager alpha re-scans the unvisited set level after
-/// level and can triple total edge inspections (grids, sparse planted
-/// bisections). An alpha/beta sweep over the bench_bfs_kernels shapes
-/// found (2, 24) the only corner that never loses to pure top-down:
-/// 1.3-1.7x fewer scans on planted bisections, ~4x on standard-cell
-/// circuits, parity on grids.
+/// expanded, never what it contains). The switching thresholds themselves
+/// are fixed constants (kBottomUpAlpha / kBottomUpBeta in bfs.cpp).
 struct BfsKernelOptions {
-  /// Allow bottom-up steps. Off = always top-down (the historical kernel;
-  /// kept selectable for differential benching in bench_bfs_kernels).
+  /// Allow bottom-up steps. Off = always top-down: the reference kernel
+  /// that bench_bfs_kernels and the BFS tests compare the
+  /// direction-optimizing one against.
   bool direction_optimizing = true;
-  /// Go bottom-up when frontier_degree * alpha > unexplored_degree.
-  std::uint32_t alpha = 2;
-  /// ... and the frontier holds more than n / beta vertices (bounds the
-  /// number of O(n)-scan bottom-up levels on deep graphs).
-  std::uint32_t beta = 24;
   /// Optional tie-break ranks for `farthest`: when set (one rank per
   /// vertex, all distinct), the farthest vertex minimizes tie_rank instead
   /// of the vertex id. Callers running on a permuted graph pass the
@@ -67,21 +54,7 @@ struct BfsKernelOptions {
   const VertexId* tie_rank = nullptr;
 };
 
-/// Result of a single-source BFS.
-struct BfsResult {
-  std::vector<std::uint32_t> distance;  ///< kUnreachable if not reached
-  VertexId farthest = kInvalidVertex;   ///< smallest id at maximum distance
-  std::uint32_t depth = 0;              ///< eccentricity within the component
-  VertexId reached = 0;                 ///< number of vertices reached
-};
-
-/// Full BFS from \p source. Among vertices at maximum distance, `farthest`
-/// is the one with the smallest vertex id (deterministic). Thin wrapper:
-/// runs bfs_scan() on a local workspace and copies the labels out.
-[[nodiscard]] BfsResult bfs(const Graph& g, VertexId source);
-
-/// Summary of a BFS whose distance labels live in a Workspace rather than
-/// in a per-call vector.
+/// Summary of a BFS; the distance labels live in the Workspace.
 struct BfsSummary {
   VertexId farthest = kInvalidVertex;  ///< smallest id at maximum distance
   std::uint32_t depth = 0;             ///< eccentricity within the component
@@ -104,21 +77,12 @@ struct DiameterPair {
   std::uint32_t distance = 0;  ///< d(s, t): a lower bound on the diameter
 };
 
-/// The paper's "random longest BFS path": BFS from a random vertex, take
-/// the farthest vertex v; BFS again from v and take its farthest vertex w.
-/// (v, w) is within O(1) of a diametral pair for bounded-degree random
-/// graphs. \p sweeps >= 1 controls how many alternating refinement sweeps
-/// to run (2 = the classic double sweep).
-[[nodiscard]] DiameterPair random_longest_path(const Graph& g, Rng& rng,
-                                               int sweeps = 2);
-
-/// Like random_longest_path but starting from a given vertex (used by the
-/// multi-start driver to derandomize tests).
-[[nodiscard]] DiameterPair longest_path_from(const Graph& g, VertexId start,
-                                             int sweeps = 2);
-
-/// Workspace-backed longest_path_from: same sweeps, same result, but every
-/// BFS runs through bfs_scan() on \p ws (zero allocations once warm).
+/// The paper's "random longest BFS path" from a given start: BFS from
+/// \p start, take the farthest vertex v; BFS again from v and take its
+/// farthest vertex w. (v, w) is within O(1) of a diametral pair for
+/// bounded-degree random graphs. \p sweeps >= 1 controls how many
+/// alternating refinement sweeps to run (2 = the classic double sweep).
+/// Every BFS runs through bfs_scan() on \p ws (zero allocations once warm).
 [[nodiscard]] DiameterPair longest_path_from(const Graph& g, VertexId start,
                                              int sweeps, Workspace& ws,
                                              const BfsKernelOptions& kernel =
@@ -141,14 +105,11 @@ struct BidirectionalCut {
 /// expanding sets meet to define a cutline". The claimed sets depend only
 /// on region sizes and adjacency — never on vertex numbering or expansion
 /// direction — so the cut is invariant under graph relabeling.
-[[nodiscard]] BidirectionalCut bidirectional_bfs_cut(const Graph& g, VertexId s,
-                                                     VertexId t);
-
-/// Workspace-backed bidirectional cut: identical result to the allocating
-/// overload, but the two frontier queues and the next-level staging buffer
-/// are hoisted into \p ws (clear()ed between levels, capacity persists) and
-/// the side labels are written into \p out.side reusing its capacity. The
-/// only steady-state allocation is out.side's first growth per lane.
+///
+/// The two frontier queues and the next-level staging buffer live in
+/// \p ws (clear()ed between levels, capacity persists) and the side labels
+/// are written into \p out.side reusing its capacity. The only
+/// steady-state allocation is out.side's first growth per lane.
 void bidirectional_bfs_cut(const Graph& g, VertexId s, VertexId t,
                            Workspace& ws, BidirectionalCut& out,
                            const BfsKernelOptions& kernel = {});

@@ -82,35 +82,6 @@ void bfs_collect(const Graph& g, VertexId seed, bool degree_ordered,
   }
 }
 
-/// Distances of one BFS from \p seed restricted to \p seed's component;
-/// returns the smallest-id vertex at maximum distance (the deterministic
-/// "farthest" tie-break shared with src/graph/bfs.cpp).
-VertexId farthest_from(const Graph& g, VertexId seed,
-                       std::vector<std::uint32_t>& distance,
-                       std::vector<VertexId>& queue) {
-  queue.clear();
-  distance[seed] = 0;
-  queue.push_back(seed);
-  VertexId farthest = seed;
-  std::uint32_t depth = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const VertexId u = queue[head];
-    const std::uint32_t du = distance[u];
-    for (VertexId w : g.neighbors(u)) {
-      if (distance[w] != 0xffffffffU) continue;
-      distance[w] = du + 1;
-      if (du + 1 > depth || (du + 1 == depth && w < farthest)) {
-        depth = du + 1;
-        farthest = w;
-      }
-      queue.push_back(w);
-    }
-  }
-  // Reset only the touched slots so the next component starts clean.
-  for (VertexId u : queue) distance[u] = 0xffffffffU;
-  return farthest;
-}
-
 }  // namespace
 
 Permutation degree_bucketed_bfs_order(const Graph& g) {
@@ -135,27 +106,6 @@ Permutation degree_bucketed_bfs_order(const Graph& g) {
       }
     }
     bfs_collect(g, seed, true, visited, order);
-  }
-  FHP_COUNTER_ADD("reorder/orders_computed", 1);
-  return Permutation::from_order(std::move(order));
-}
-
-Permutation pseudo_diameter_bfs_order(const Graph& g) {
-  FHP_TRACE_SCOPE("reorder");
-  const VertexId n = g.num_vertices();
-  std::vector<std::uint8_t> visited(n, 0);
-  std::vector<std::uint32_t> distance(n, 0xffffffffU);
-  std::vector<VertexId> queue;
-  queue.reserve(n);
-  std::vector<VertexId> order;
-  order.reserve(n);
-  for (VertexId v = 0; v < n; ++v) {
-    if (visited[v]) continue;
-    // Double sweep: the farthest vertex from v approximates a diameter
-    // endpoint; starting the layout BFS there makes levels long and thin,
-    // i.e. contiguous id ranges under the final numbering.
-    const VertexId endpoint = farthest_from(g, v, distance, queue);
-    bfs_collect(g, endpoint, false, visited, order);
   }
   FHP_COUNTER_ADD("reorder/orders_computed", 1);
   return Permutation::from_order(std::move(order));

@@ -10,21 +10,15 @@
 /// bandwidth-reducing relabeling puts neighbors at nearby ids, so the same
 /// traversal walks nearly-sequential memory.
 ///
-/// Two orderings are provided, both deterministic pure functions of the
-/// graph (docs/performance.md discusses when each wins):
-///   - degree_bucketed_bfs_order(): RCM-lite — per component, BFS from a
-///     minimum-degree seed visiting neighbors in ascending (degree, id)
-///     order. The classic bandwidth reducer, minus the reversal (the BFS
-///     kernels here are symmetric in direction, so the reversal buys
-///     nothing).
-///   - pseudo_diameter_bfs_order(): per component, a double BFS sweep
-///     finds a pseudo-diameter endpoint, then plain BFS order from it.
-///     Levels become contiguous id ranges, which is exactly the access
-///     pattern of the level-synchronous kernels.
+/// The ordering, degree_bucketed_bfs_order(), is RCM-lite: per component,
+/// BFS from a minimum-degree seed visiting neighbors in ascending
+/// (degree, id) order — the classic bandwidth reducer, minus the reversal
+/// (the BFS kernels here are symmetric in direction, so the reversal buys
+/// nothing). It is a deterministic pure function of the graph.
 ///
 /// Consumers relabel once (`Graph::permuted`), run every traversal on the
 /// permuted graph, and map results back through the inverse map; see
-/// Algorithm1Options::reorder for the end-to-end contract.
+/// Algorithm1Context for the end-to-end contract (docs/performance.md).
 #pragma once
 
 #include <vector>
@@ -66,12 +60,5 @@ struct Permutation {
 /// smallest id) visiting neighbors in ascending (degree, id) order. A
 /// deterministic pure function of the graph structure.
 [[nodiscard]] Permutation degree_bucketed_bfs_order(const Graph& g);
-
-/// Pseudo-diameter-seeded ordering: components in ascending order of their
-/// smallest vertex id, each traversed by BFS (neighbors in ascending id
-/// order) from the endpoint a double sweep finds — BFS from the smallest
-/// id, then from the farthest vertex of that sweep (smallest id among the
-/// deepest). A deterministic pure function of the graph structure.
-[[nodiscard]] Permutation pseudo_diameter_bfs_order(const Graph& g);
 
 }  // namespace fhp

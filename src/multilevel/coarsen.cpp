@@ -36,11 +36,11 @@ ClusteringResult heavy_edge_clustering(const Hypergraph& h,
   }
   // The cap must never make the coarsening target unreachable: at least
   // total/coarsest_size weight per cluster is needed to shrink down to
-  // coarsest_size clusters, whatever the fraction knob says.
+  // coarsest_size clusters, whatever the fraction says.
   const Weight cluster_cap = std::max<Weight>(
       {max_vertex,
        static_cast<Weight>(static_cast<double>(h.total_vertex_weight()) *
-                           options.cluster_weight_fraction) +
+                           kClusterWeightFraction) +
            1,
        h.total_vertex_weight() /
                std::max<Weight>(1, options.coarsest_size) +
@@ -156,7 +156,6 @@ Hierarchy build_hierarchy(const Hypergraph& h,
                           const CoarseningOptions& options, ThreadPool* pool) {
   FHP_TRACE_SCOPE("ml_coarsen");
   FHP_REQUIRE(options.coarsest_size >= 2, "coarsest size must be >= 2");
-  FHP_REQUIRE(options.max_levels >= 0, "max_levels must be >= 0");
 
   Hierarchy hierarchy(h);
   const auto target = std::max<VertexId>(
@@ -169,7 +168,7 @@ Hierarchy build_hierarchy(const Hypergraph& h,
   std::vector<VertexId> rank;
   const Hypergraph* current = &h;
   while (current->num_vertices() > target &&
-         static_cast<int>(hierarchy.num_levels()) < options.max_levels) {
+         static_cast<int>(hierarchy.num_levels()) < kMaxCoarseningLevels) {
     FHP_HIST_SCOPE_US("ml/coarsen_us");
     ClusteringResult clustering =
         heavy_edge_clustering(*current, rank, options, pool);

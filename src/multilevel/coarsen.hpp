@@ -50,16 +50,16 @@ struct CoarseningOptions {
   /// disables the cap. Large nets connect everything to everything and
   /// would drown the locality signal of small nets.
   std::uint32_t rating_net_cap = 16;
-  /// Cluster-weight cap as a fraction of the total vertex weight (the cap
-  /// is max(heaviest vertex, fraction * total + 1, total / coarsest_size
-  /// + 1) — a legal merge always exists and the cap never makes the
-  /// coarsening target unreachable). Prevents one snowballing cluster
-  /// from absorbing the instance and leaving the initial partitioner
-  /// nothing to balance.
-  double cluster_weight_fraction = 1.0 / 32.0;
-  /// Hard depth bound on the hierarchy.
-  int max_levels = 64;
 };
+
+/// Cluster-weight cap as a fraction of the total vertex weight (the cap is
+/// max(heaviest vertex, fraction * total + 1, total / coarsest_size + 1) —
+/// a legal merge always exists and the cap never makes the coarsening
+/// target unreachable). Prevents one snowballing cluster from absorbing
+/// the instance and leaving the initial partitioner nothing to balance.
+inline constexpr double kClusterWeightFraction = 1.0 / 32.0;
+/// Hard depth bound on the hierarchy.
+inline constexpr int kMaxCoarseningLevels = 64;
 
 /// One level of clustering: fine vertex -> dense cluster id.
 struct ClusteringResult {
@@ -78,7 +78,7 @@ struct ClusteringResult {
 
 /// Runs the full coarsening phase: clustering + contraction per level
 /// until \p options.coarsest_size is reached, the clustering stalls, or
-/// \p options.max_levels is hit. Instrumented with the ml/coarsen_us
+/// kMaxCoarseningLevels is hit. Instrumented with the ml/coarsen_us
 /// histogram (one sample per level) and the ml/coarsen span.
 [[nodiscard]] Hierarchy build_hierarchy(const Hypergraph& h,
                                         const CoarseningOptions& options,

@@ -31,8 +31,8 @@ MultilevelResult multilevel_partition(const Hypergraph& h,
   result.levels = static_cast<int>(hierarchy.num_levels());
   result.coarsest_vertices = coarsest.num_vertices();
 
-  // ---- Initial partition: Algorithm I at the coarsest level, with every
-  // existing option (multi-start, memoized, reordered) in play.
+  // ---- Initial partition: Algorithm I at the coarsest level (memoized,
+  // reordered multi-start).
   std::vector<std::uint8_t> sides;
   {
     FHP_TRACE_SCOPE("ml_initial");

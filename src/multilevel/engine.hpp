@@ -13,9 +13,8 @@
 /// Determinism contract: the coarsener's rating loop is a deterministic
 /// parallel map, Algorithm I is bit-identical at any thread count (PR 2),
 /// and refinement is serial and seeded — so the engine's partition is
-/// bit-identical at any `threads` setting and across the reorder /
-/// memoize_starts toggles of the initial partitioner (gated by
-/// bench_multilevel and tests/test_multilevel_engine.cpp).
+/// bit-identical at any `threads` setting (gated by bench_multilevel and
+/// tests/test_multilevel_engine.cpp).
 #pragma once
 
 #include <cstdint>
@@ -45,9 +44,9 @@ struct EngineOptions {
   /// Coarsening-phase knobs.
   CoarseningOptions coarsening;
   /// Coarsest-level initial partitioner: Algorithm I with all its
-  /// existing options (multi-start budget, completion, memoization,
-  /// reordering). Its `seed` and `threads` fields are overridden by the
-  /// engine-level `seed` / `threads` below so one knob steers the run.
+  /// options (multi-start budget, completion, ...). Its `seed` and
+  /// `threads` fields are overridden by the engine-level `seed` /
+  /// `threads` below so one knob steers the run.
   Algorithm1Options initial = default_initial_options();
   /// Per-level FM refinement knobs (see FmRefiner).
   FmRefinerOptions refine;

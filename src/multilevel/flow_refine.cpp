@@ -14,23 +14,6 @@ namespace fhp::ml {
 
 namespace {
 
-/// Cut weight of \p sides on \p h without building a Bipartition.
-Weight cut_weight_of(const Hypergraph& h,
-                     std::span<const std::uint8_t> sides) {
-  Weight cut = 0;
-  for (EdgeId e = 0; e < h.num_edges(); ++e) {
-    bool on[2] = {false, false};
-    for (VertexId v : h.pins(e)) {
-      on[sides[v]] = true;
-      if (on[0] && on[1]) {
-        cut += h.edge_weight(e);
-        break;
-      }
-    }
-  }
-  return cut;
-}
-
 /// Grows the round's corridor: every pin of every cut net is seeded
 /// (keeping at least one exterior anchor per side so the gadget always
 /// has both terminals), then a per-side BFS over the hypergraph
@@ -219,8 +202,7 @@ Weight FlowRefiner::refine(const Hypergraph& h,
                            deterministic — corridor growth, gadget build
                            and Dinic all iterate in fixed CSR order*/) {
   FHP_TRACE_SCOPE("flow_refine");
-  if (h.num_vertices() < options_.min_vertices || h.num_edges() == 0 ||
-      options_.max_rounds <= 0) {
+  if (h.num_vertices() < options_.min_vertices || h.num_edges() == 0) {
     return 0;
   }
   const Weight before = cut_weight_of(h, sides);
@@ -247,13 +229,12 @@ Weight FlowRefiner::refine(const Hypergraph& h,
   const Weight allowed =
       std::max({Weight{2}, tol_abs, imbalance_of(sides)});
 
-  double budget = std::max(
-      1.0, options_.corridor_weight_fraction * static_cast<double>(total));
+  double budget =
+      std::max(1.0, kCorridorWeightFraction * static_cast<double>(total));
   Weight current = before;
   std::vector<std::uint8_t> in_corridor;
   int dry = 0;
-  for (int round = 0;
-       round < options_.max_rounds && dry < options_.max_dry_rounds;
+  for (int round = 0; round < kMaxFlowRounds && dry < kMaxDryFlowRounds;
        ++round) {
     FHP_COUNTER_ADD("flow/rounds", 1);
     const VertexId corridor = grow_corridor(h, sides, budget, ws_,
@@ -302,7 +283,7 @@ Weight FlowRefiner::refine(const Hypergraph& h,
       ++dry;
       if (saturated) break;
     }
-    budget *= options_.budget_growth;
+    budget *= kCorridorBudgetGrowth;
   }
   return before - current;
 }

@@ -36,18 +36,6 @@ namespace fhp::ml {
 
 /// Knobs of the corridor flow refiner.
 struct FlowRefinerOptions {
-  /// Starting corridor budget per side, as a fraction of the instance's
-  /// total vertex weight. The cut-net boundary itself is always admitted
-  /// (minus one anchor per side); the budget bounds the BFS expansion.
-  double corridor_weight_fraction = 0.05;
-  /// Budget multiplier applied after every round ("double on
-  /// improvement" — and on dry rounds too, so the second dry attempt sees
-  /// a strictly larger corridor instead of replaying the first).
-  double budget_growth = 2.0;
-  /// Hard cap on flow rounds per refine() call.
-  int max_rounds = 8;
-  /// Consecutive unadopted rounds before giving up.
-  int max_dry_rounds = 2;
   /// Weight-balance tolerance: a candidate is adoptable when
   /// |w(V0) - w(V1)| <= max(2, tolerance * total weight), or no worse
   /// than the imbalance the input partition already had. (The floor of 2
@@ -58,6 +46,19 @@ struct FlowRefinerOptions {
   /// them exhaustively; a corridor cannot leave anchors on both sides).
   VertexId min_vertices = 4;
 };
+
+/// Starting corridor budget per side, as a fraction of the instance's
+/// total vertex weight. The cut-net boundary itself is always admitted
+/// (minus one anchor per side); the budget bounds the BFS expansion.
+inline constexpr double kCorridorWeightFraction = 0.05;
+/// Budget multiplier applied after every round ("double on improvement" —
+/// and on dry rounds too, so the second dry attempt sees a strictly
+/// larger corridor instead of replaying the first).
+inline constexpr double kCorridorBudgetGrowth = 2.0;
+/// Hard cap on flow rounds per refine() call.
+inline constexpr int kMaxFlowRounds = 8;
+/// Consecutive unadopted rounds before giving up.
+inline constexpr int kMaxDryFlowRounds = 2;
 
 /// One gadget solve over a fixed corridor. Exposed for tests and benches;
 /// refine() drives it with adaptively grown corridors.

@@ -4,29 +4,9 @@
 #include <utility>
 
 #include "baselines/fm.hpp"
+#include "partition/partition.hpp"
 
 namespace fhp::ml {
-
-namespace {
-
-/// Cut weight of \p sides on \p h, computed without building a
-/// Bipartition (no allocation beyond the caller's vectors).
-Weight cut_weight_of(const Hypergraph& h, std::span<const std::uint8_t> sides) {
-  Weight cut = 0;
-  for (EdgeId e = 0; e < h.num_edges(); ++e) {
-    bool on[2] = {false, false};
-    for (VertexId v : h.pins(e)) {
-      on[sides[v]] = true;
-      if (on[0] && on[1]) {
-        cut += h.edge_weight(e);
-        break;
-      }
-    }
-  }
-  return cut;
-}
-
-}  // namespace
 
 /// Marks the cut frontier free (0) and the interior fixed (1): every pin
 /// of every cut net, expanded by one hop (all pins sharing a net with a
@@ -68,12 +48,10 @@ Weight FmRefiner::refine(const Hypergraph& h,
   if (h.num_vertices() < 2 || options_.max_passes <= 0) return 0;
   const Weight before = cut_weight_of(h, sides);
 
-  if (!options_.boundary_only ||
-      h.num_vertices() <= options_.full_fm_threshold) {
+  if (h.num_vertices() <= kFullFmThreshold) {
     FmOptions fm;
     fm.seed = seed;
     fm.max_passes = options_.max_passes;
-    fm.max_weight_imbalance = options_.max_weight_imbalance;
     fm.initial = sides;
     BaselineResult result = fiduccia_mattheyses(h, fm);
     // FM's per-pass rollback keeps the best prefix (including the empty
@@ -99,7 +77,6 @@ Weight FmRefiner::refine(const Hypergraph& h,
     FmOptions fm;
     fm.seed = seed + static_cast<std::uint64_t>(pass);
     fm.max_passes = options_.max_passes;
-    fm.max_weight_imbalance = options_.max_weight_imbalance;
     fm.initial = sides;
     fm.fixed = fixed;
     BaselineResult result = fiduccia_mattheyses(h, fm);

@@ -35,23 +35,19 @@ class Refiner {
 struct FmRefinerOptions {
   /// FM passes per level.
   int max_passes = 8;
-  /// Weight-imbalance tolerance; 0 = the classic FM auto tolerance (the
-  /// largest module weight, so some move is always legal).
-  Weight max_weight_imbalance = 0;
-  /// Restrict passes to the cut frontier (pins of cut nets plus one hop),
-  /// locking the interior via FmOptions::fixed and recomputing the
-  /// frontier between rounds. Drops per-pass cost from O(n * degree) to
-  /// O(pins + frontier * degree). false = classic whole-instance FM
-  /// passes at every level.
-  bool boundary_only = true;
-  /// Levels with at most this many vertices run classic full FM even in
-  /// boundary mode. Projection carries the cut weight through unchanged,
-  /// so deep refinement at the (cheap) coarse levels does the heavy
-  /// lifting and the expensive fine levels only polish the frontier —
-  /// the quality of full FM at a fraction of its cost
-  /// (docs/multilevel.md, bench_multilevel).
-  VertexId full_fm_threshold = 1024;
 };
+
+/// Levels with at most this many vertices run classic whole-instance FM;
+/// larger levels restrict passes to the cut frontier (pins of cut nets
+/// plus one hop), locking the interior via FmOptions::fixed and
+/// recomputing the frontier between rounds, which drops per-pass cost
+/// from O(n * degree) to O(pins + frontier * degree). Projection carries
+/// the cut weight through unchanged, so deep refinement at the (cheap)
+/// coarse levels does the heavy lifting and the expensive fine levels only
+/// polish the frontier — the quality of full FM at a fraction of its cost
+/// (docs/multilevel.md, bench_multilevel). Both modes use the classic FM
+/// balance tolerance (FmOptions::max_weight_imbalance = 0).
+inline constexpr VertexId kFullFmThreshold = 1024;
 
 /// Fiduccia–Mattheyses per-level refinement (baselines/fm.hpp): seeds FM
 /// with the projected partition and keeps the result only when it is no

@@ -84,4 +84,19 @@ void Bipartition::validate() const {
   }
 }
 
+Weight cut_weight_of(const Hypergraph& h, std::span<const std::uint8_t> sides) {
+  Weight cut = 0;
+  for (EdgeId e = 0; e < h.num_edges(); ++e) {
+    bool on[2] = {false, false};
+    for (VertexId v : h.pins(e)) {
+      on[sides[v]] = true;
+      if (on[0] && on[1]) {
+        cut += h.edge_weight(e);
+        break;
+      }
+    }
+  }
+  return cut;
+}
+
 }  // namespace fhp

@@ -55,6 +55,18 @@ class Bipartition {
   [[nodiscard]] bool is_cut(EdgeId e) const {
     return pins_on_side_[0][e] > 0 && pins_on_side_[1][e] > 0;
   }
+  /// Cut-weight change of moving module \p v to the other side: net
+  /// weight uncut minus net weight newly cut (the Fiduccia–Mattheyses cell
+  /// gain; positive = the move shrinks the cut). O(degree(v)).
+  [[nodiscard]] Weight move_gain(VertexId v) const {
+    const std::uint8_t s = side(v);
+    Weight gain = 0;
+    for (EdgeId e : h_->nets_of(v)) {
+      if (pins_on_side_[s][e] == 1) gain += h_->edge_weight(e);
+      if (pins_on_side_[1 - s][e] == 0) gain -= h_->edge_weight(e);
+    }
+    return gain;
+  }
 
   /// Number of nets crossing the cut (unweighted; trivial nets never cut).
   [[nodiscard]] EdgeId cut_edges() const noexcept { return cut_edges_; }
@@ -100,5 +112,10 @@ class Bipartition {
   EdgeId cut_edges_ = 0;
   Weight cut_weight_ = 0;
 };
+
+/// Total weight of the nets of \p h that \p sides (one 0/1 entry per
+/// module) cuts, computed without building a Bipartition.
+[[nodiscard]] Weight cut_weight_of(const Hypergraph& h,
+                                   std::span<const std::uint8_t> sides);
 
 }  // namespace fhp

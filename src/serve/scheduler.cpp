@@ -54,7 +54,7 @@ Scheduler::Scheduler(const SchedulerOptions& options)
       cache_(options.cache_bytes),
       est_start_cost_us_(std::max<std::int64_t>(
           1, options.initial_start_cost_us)) {
-  FHP_GAUGE_SET("pool/lanes", pool_.lane_count());
+  FHP_GAUGE_SET("pool/lanes", pool_.thread_count());
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -309,7 +309,7 @@ void Scheduler::dispatcher_loop() {
       // parallelizes internally, and for a small one the extra lanes
       // cost nothing (the engine's serial fast path ignores them).
       execute(*batch.front(),
-              batch.front()->small ? 1 : pool_.lane_count());
+              batch.front()->small ? 1 : pool_.thread_count());
       complete(batch.front());
     } else {
       FHP_COUNTER_ADD("serve/batches", 1);
@@ -350,7 +350,7 @@ std::string Scheduler::stats_json() const {
   w.member("in_flight_keys", in_flight);
   w.end_object();
   w.key("pool").begin_object();
-  w.member("lanes", pool_.lane_count());
+  w.member("lanes", pool_.thread_count());
   w.member("pending_chunks", pool_.pending_chunks());
   w.end_object();
   w.key("requests").begin_object();

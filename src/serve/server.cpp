@@ -95,18 +95,18 @@ void Server::wait() {
 }
 
 void Server::shutdown() {
-  std::vector<int> fds;
   {
+    // Unblocks every live connection's read loop. Under the lock, so no
+    // fd in the list can be closed (and its number reused) meanwhile.
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->shutting_down = true;
-    fds = impl_->connection_fds;
+    for (const int fd : impl_->connection_fds) ::shutdown(fd, SHUT_RDWR);
   }
   impl_->shutdown_cv.notify_all();
   if (impl_->listen_fd >= 0) {
     // Unblocks accept(); the loop sees shutting_down and exits.
     ::shutdown(impl_->listen_fd, SHUT_RDWR);
   }
-  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
   // Joining is serialized so concurrent shutdown() calls don't both join;
   // a connection thread running shutdown() skips joining itself.
   static std::mutex join_mutex;
@@ -231,10 +231,13 @@ void Server::serve_connection(int fd) {
     // stream cannot be resynchronized, so drop this connection.
     FHP_COUNTER_ADD("serve/dropped_connections", 1);
   }
-  ::close(fd);
   {
+    // Erase and close under one lock: once closed, accept() may hand the
+    // same number to a new connection, whose entry must not be erased in
+    // its place (shutdown() would then never unblock it).
     std::lock_guard<std::mutex> lock(impl_->mutex);
     std::erase(impl_->connection_fds, fd);
+    ::close(fd);
   }
   if (trigger_shutdown) {
     std::lock_guard<std::mutex> lock(impl_->mutex);

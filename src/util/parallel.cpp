@@ -35,11 +35,6 @@ std::size_t ThreadPool::pending_chunks() const {
   return job_chunks_ - std::min(chunks_done_, job_chunks_);
 }
 
-bool ThreadPool::busy() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return job_ != nullptr;
-}
-
 int resolve_threads(int requested) {
   constexpr int kMaxLanes = 512;
   if (requested >= 1) return std::min(requested, kMaxLanes);

@@ -40,17 +40,10 @@
 
 namespace fhp {
 
-/// Lane-count selection shared by every parallel entry point.
-struct ParallelOptions {
-  /// Execution lanes: 1 = serial, N > 1 = pool of N lanes, 0 = resolve
-  /// from the FHP_THREADS environment variable (unset/empty/invalid -> 1,
-  /// i.e. the default stays serial; "0" -> all hardware threads).
-  int threads = 0;
-};
-
 /// Resolves a requested lane count. \p requested >= 1 wins as-is; 0 reads
-/// FHP_THREADS with the semantics documented on ParallelOptions::threads.
-/// The result is clamped to [1, 512].
+/// the FHP_THREADS environment variable (unset/empty/invalid -> 1, i.e.
+/// the default stays serial; "0" -> all hardware threads). The result is
+/// clamped to [1, 512].
 [[nodiscard]] int resolve_threads(int requested);
 
 /// Fixed-size blocking thread pool. Workers are spawned once in the
@@ -68,10 +61,6 @@ class ThreadPool {
   /// Total execution lanes (worker threads + the calling thread); >= 1.
   [[nodiscard]] int thread_count() const noexcept { return lanes_; }
 
-  /// Alias of thread_count() under the name the serving layer's `pool/`
-  /// gauges use (docs/serving.md).
-  [[nodiscard]] int lane_count() const noexcept { return lanes_; }
-
   /// Chunks of the currently executing region not yet completed; 0 when
   /// the pool is quiescent. Takes the pool mutex briefly, so it is safe
   /// to sample from any thread (the daemon's admission control and the
@@ -81,10 +70,6 @@ class ThreadPool {
   /// the serial fast path (one lane, or a single chunk) never appear
   /// here — instrumenting them would put a lock on the serial hot path.
   [[nodiscard]] std::size_t pending_chunks() const;
-
-  /// True while a parallel region is executing. Same snapshot caveat as
-  /// pending_chunks().
-  [[nodiscard]] bool busy() const;
 
   /// Lane index of the calling thread: pool workers are 1..N-1 (stable for
   /// the worker's lifetime), the thread driving a parallel_for is 0 while

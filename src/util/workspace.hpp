@@ -23,8 +23,8 @@
 /// arrays — so reuse preserves bit-identical outputs at any lane count.
 ///
 /// Allocation accounting: every buffer growth is counted (events and
-/// bytes) so benches can compare allocate-per-call against per-lane reuse
-/// via the obs layer without util depending on obs.
+/// bytes) so benches can compare a fresh workspace per start against
+/// per-lane reuse via the obs layer without util depending on obs.
 #pragma once
 
 #include <cstddef>

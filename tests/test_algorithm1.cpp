@@ -207,8 +207,9 @@ TEST(Algorithm1, ExactCompletionNeverWorseThanGreedy) {
     Algorithm1Context exact_ctx(h, exact_options);
     if (greedy_ctx.is_degenerate()) continue;
     // Same start → same boundary; exact completion cannot lose more nets.
-    const Algorithm1Result g = greedy_ctx.run_single(0);
-    const Algorithm1Result e = exact_ctx.run_single(0);
+    Algorithm1Context::StartScratch scratch;
+    const Algorithm1Result g = greedy_ctx.run_single(0, scratch);
+    const Algorithm1Result e = exact_ctx.run_single(0, scratch);
     EXPECT_LE(e.loser_count, g.loser_count) << "seed " << seed;
   }
 }
@@ -221,7 +222,8 @@ TEST(Algorithm1, LoserCountBoundsRealizedBoundaryCut) {
   options.large_edge_threshold = 0;  // no filtering: bound applies to all
   Algorithm1Context ctx(h, options);
   if (ctx.is_degenerate()) GTEST_SKIP() << "degenerate instance";
-  const Algorithm1Result r = ctx.run_single(0);
+  Algorithm1Context::StartScratch scratch;
+  const Algorithm1Result r = ctx.run_single(0, scratch);
   EXPECT_LE(r.metrics.cut_edges, r.loser_count);
 }
 
@@ -285,7 +287,8 @@ TEST(Algorithm1, CompleteFromCutCustomSplit) {
   ASSERT_FALSE(ctx.is_degenerate());
   std::vector<std::uint8_t> g_side(ctx.intersection().num_vertices(), 0);
   for (VertexId e = 5; e < g_side.size(); ++e) g_side[e] = 1;
-  const Algorithm1Result r = ctx.complete_from_cut(g_side);
+  Algorithm1Context::StartScratch scratch;
+  const Algorithm1Result r = ctx.complete_from_cut(g_side, scratch);
   check_result(h, r);
   EXPECT_EQ(r.metrics.cut_edges, 1U);
   EXPECT_EQ(r.boundary_size, 2U);
@@ -294,7 +297,39 @@ TEST(Algorithm1, CompleteFromCutCustomSplit) {
 TEST(Algorithm1, CompleteFromCutRejectsBadInput) {
   const Hypergraph h = test::path_hypergraph(6);
   Algorithm1Context ctx(h, {});
-  EXPECT_THROW((void)ctx.complete_from_cut({0, 1}), PreconditionError);
+  Algorithm1Context::StartScratch scratch;
+  const std::vector<std::uint8_t> too_short = {0, 1};
+  EXPECT_THROW((void)ctx.complete_from_cut(too_short, scratch),
+               PreconditionError);
+}
+
+TEST(Algorithm1, MemoOwnersKeyOnTheOrderedPair) {
+  // Repeats point at their first occurrence; (s, t) and (t, s) stay
+  // distinct keys (the bidirectional cut's tie-breaking is
+  // orientation-sensitive), and the distance plays no part in the key.
+  const std::vector<DiameterPair> pairs = {
+      {3, 7, 4}, {7, 3, 4}, {3, 7, 4}, {1, 2, 9}, {7, 3, 4}, {3, 7, 5}};
+  const std::vector<std::size_t> owner = memo_owners(pairs);
+  EXPECT_EQ(owner, (std::vector<std::size_t>{0, 1, 0, 3, 1, 0}));
+  EXPECT_TRUE(memo_owners({}).empty());
+}
+
+TEST(Algorithm1, SingleNetCaseCountsOneStart) {
+  // G has one vertex: every start is the same, so the lone net goes to
+  // one side and the rest of the modules to the other (cut 0).
+  HypergraphBuilder b;
+  b.add_vertices(5);
+  b.add_edge({0, 1, 2});
+  const Hypergraph h = std::move(b).build();
+  const Algorithm1Context ctx(h, {});
+  ASSERT_FALSE(ctx.is_degenerate());
+  ASSERT_EQ(ctx.intersection().num_vertices(), 1U);
+  const Algorithm1Result single = ctx.run_single_net();
+  EXPECT_EQ(single.metrics.cut_edges, 0U);
+  EXPECT_EQ(single.starts_run, 1);
+  Algorithm1Context::StartScratch scratch;
+  EXPECT_EQ(ctx.run_single(0, scratch).sides, single.sides);
+  EXPECT_EQ(algorithm1(h).sides, single.sides);
 }
 
 TEST(Algorithm1, DiagnosticsPopulated) {

@@ -16,10 +16,28 @@ Graph path_graph(VertexId n) {
   return Graph::from_edges(n, edges);
 }
 
+BoundaryStructure boundary_of(const Graph& g,
+                              const std::vector<std::uint8_t>& side) {
+  Workspace ws;
+  BoundaryStructure b;
+  extract_boundary(g, side, ws, b);
+  return b;
+}
+
+/// Algorithm I's initial cut: the bidirectional BFS cut between the
+/// double-sweep pseudo-diameter pair found from \p start.
+std::vector<std::uint8_t> initial_cut(const Graph& g, VertexId start) {
+  Workspace ws;
+  const DiameterPair pair = longest_path_from(g, start, 2, ws);
+  BidirectionalCut cut;
+  bidirectional_bfs_cut(g, pair.s, pair.t, ws, cut);
+  return cut.side;
+}
+
 TEST(Boundary, PathCutHasTwoBoundaryNodes) {
   const Graph g = path_graph(6);
   std::vector<std::uint8_t> side{0, 0, 0, 1, 1, 1};
-  const BoundaryStructure b = extract_boundary(g, side);
+  const BoundaryStructure b = boundary_of(g, side);
   EXPECT_EQ(b.size(), 2U);
   EXPECT_EQ(b.boundary_nodes, (std::vector<VertexId>{2, 3}));
   EXPECT_EQ(b.boundary_graph.num_edges(), 1U);
@@ -29,7 +47,7 @@ TEST(Boundary, PathCutHasTwoBoundaryNodes) {
 
 TEST(Boundary, NonBoundaryIndicesInvalid) {
   const Graph g = path_graph(4);
-  const BoundaryStructure b = extract_boundary(g, {0, 0, 1, 1});
+  const BoundaryStructure b = boundary_of(g, {0, 0, 1, 1});
   EXPECT_EQ(b.boundary_index[0], kInvalidVertex);
   EXPECT_NE(b.boundary_index[1], kInvalidVertex);
   EXPECT_NE(b.boundary_index[2], kInvalidVertex);
@@ -38,7 +56,7 @@ TEST(Boundary, NonBoundaryIndicesInvalid) {
 
 TEST(Boundary, AllOneSideGivesEmptyBoundary) {
   const Graph g = path_graph(5);
-  const BoundaryStructure b = extract_boundary(g, {0, 0, 0, 0, 0});
+  const BoundaryStructure b = boundary_of(g, {0, 0, 0, 0, 0});
   EXPECT_EQ(b.size(), 0U);
   EXPECT_EQ(b.boundary_graph.num_vertices(), 0U);
 }
@@ -47,7 +65,7 @@ TEST(Boundary, SameSideEdgesDropped) {
   // Square 0-1-2-3-0 with sides 0,0,1,1: cross edges (1,2) and (3,0);
   // the same-side edges (0,1) and (2,3) must not appear in G'.
   const Graph g = Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  const BoundaryStructure b = extract_boundary(g, {0, 0, 1, 1});
+  const BoundaryStructure b = boundary_of(g, {0, 0, 1, 1});
   EXPECT_EQ(b.size(), 4U);  // every vertex touches the cut
   EXPECT_EQ(b.boundary_graph.num_edges(), 2U);
   for (VertexId u = 0; u < b.boundary_graph.num_vertices(); ++u) {
@@ -60,9 +78,7 @@ TEST(Boundary, SameSideEdgesDropped) {
 TEST(Boundary, BoundaryGraphAlwaysBipartite) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const Graph g = test::connected_random_graph(50, 0.06, seed);
-    const DiameterPair pair = longest_path_from(g, 0, 2);
-    const BidirectionalCut cut = bidirectional_bfs_cut(g, pair.s, pair.t);
-    const BoundaryStructure b = extract_boundary(g, cut.side);
+    const BoundaryStructure b = boundary_of(g, initial_cut(g, 0));
     EXPECT_TRUE(is_bipartite(b.boundary_graph)) << "seed " << seed;
     // boundary_side must itself be a proper coloring of G'.
     for (VertexId u = 0; u < b.boundary_graph.num_vertices(); ++u) {
@@ -75,8 +91,10 @@ TEST(Boundary, BoundaryGraphAlwaysBipartite) {
 
 TEST(Boundary, DefinitionMatchesNeighborScan) {
   const Graph g = test::connected_random_graph(40, 0.08, 3);
-  const BidirectionalCut cut = bidirectional_bfs_cut(g, 0, 39);
-  const BoundaryStructure b = extract_boundary(g, cut.side);
+  Workspace ws;
+  BidirectionalCut cut;
+  bidirectional_bfs_cut(g, 0, 39, ws, cut);
+  const BoundaryStructure b = boundary_of(g, cut.side);
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     bool crosses = false;
     for (VertexId w : g.neighbors(u)) {
@@ -91,9 +109,7 @@ TEST(Boundary, NonBoundaryNetsPartitionModulesConsistently) {
   // sides never share a module.
   const Hypergraph h = test::figure4_hypergraph();
   const Graph g = intersection_graph(h);
-  const DiameterPair pair = longest_path_from(g, 0, 2);
-  const BidirectionalCut cut = bidirectional_bfs_cut(g, pair.s, pair.t);
-  const BoundaryStructure b = extract_boundary(g, cut.side);
+  const BoundaryStructure b = boundary_of(g, initial_cut(g, 0));
   for (EdgeId e1 = 0; e1 < h.num_edges(); ++e1) {
     if (b.is_boundary[e1]) continue;
     for (EdgeId e2 = e1 + 1; e2 < h.num_edges(); ++e2) {
@@ -109,8 +125,8 @@ TEST(Boundary, NonBoundaryNetsPartitionModulesConsistently) {
 
 TEST(Boundary, RejectsBadInput) {
   const Graph g = path_graph(3);
-  EXPECT_THROW((void)extract_boundary(g, {0, 1}), PreconditionError);
-  EXPECT_THROW((void)extract_boundary(g, {0, 1, 2}), PreconditionError);
+  EXPECT_THROW((void)boundary_of(g, {0, 1}), PreconditionError);
+  EXPECT_THROW((void)boundary_of(g, {0, 1, 2}), PreconditionError);
 }
 
 }  // namespace

@@ -8,9 +8,26 @@
 namespace fhp {
 namespace {
 
+CompletionResult run_greedy(const Graph& bg) {
+  Workspace ws;
+  CompletionResult r;
+  complete_cut_greedy(bg, ws, r);
+  return r;
+}
+
+CompletionResult run_weighted(const Graph& bg,
+                              std::span<const std::uint8_t> side,
+                              std::span<const Weight> node_weight, Weight w0,
+                              Weight w1) {
+  Workspace ws;
+  CompletionResult r;
+  complete_cut_weighted(bg, side, node_weight, w0, w1, ws, r);
+  return r;
+}
+
 TEST(CompleteCutGreedy, SingleEdgeOneWinnerOneLoser) {
   const Graph bg = Graph::from_edges(2, {{0, 1}});
-  const CompletionResult r = complete_cut_greedy(bg);
+  const CompletionResult r = run_greedy(bg);
   EXPECT_EQ(r.winner_count, 1U);
   EXPECT_EQ(r.loser_count, 1U);
   validate_completion(bg, r);
@@ -18,7 +35,7 @@ TEST(CompleteCutGreedy, SingleEdgeOneWinnerOneLoser) {
 
 TEST(CompleteCutGreedy, IsolatedVerticesAllWin) {
   const Graph bg = Graph::from_edges(4, {});
-  const CompletionResult r = complete_cut_greedy(bg);
+  const CompletionResult r = run_greedy(bg);
   EXPECT_EQ(r.winner_count, 4U);
   EXPECT_EQ(r.loser_count, 0U);
 }
@@ -26,7 +43,7 @@ TEST(CompleteCutGreedy, IsolatedVerticesAllWin) {
 TEST(CompleteCutGreedy, StarKeepsLeaves) {
   // Star: hub degree 4, leaves degree 1 → leaves win, hub loses.
   const Graph bg = Graph::from_edges(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
-  const CompletionResult r = complete_cut_greedy(bg);
+  const CompletionResult r = run_greedy(bg);
   EXPECT_EQ(r.loser_count, 1U);
   EXPECT_EQ(r.winner[0], 0);
   validate_completion(bg, r);
@@ -37,7 +54,7 @@ TEST(CompleteCutGreedy, PathAlternates) {
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId i = 0; i + 1 < 5; ++i) edges.emplace_back(i, i + 1);
   const Graph bg = Graph::from_edges(5, edges);
-  const CompletionResult r = complete_cut_greedy(bg);
+  const CompletionResult r = run_greedy(bg);
   EXPECT_LE(r.loser_count, 3U);
   EXPECT_GE(r.loser_count, 2U);
   validate_completion(bg, r);
@@ -60,7 +77,7 @@ TEST(CompleteCutGreedy, WithinOneOfOptimalWhenConnected) {
     const auto [bg, side] = test::random_bipartite_graph(8, 8, 0.25, seed);
     if (!is_connected(bg)) continue;
     ++tested;
-    const CompletionResult greedy = complete_cut_greedy(bg);
+    const CompletionResult greedy = run_greedy(bg);
     const CompletionResult exact = complete_cut_exact(bg, side);
     validate_completion(bg, greedy);
     EXPECT_LE(greedy.loser_count, exact.loser_count + 1) << "seed " << seed;
@@ -71,7 +88,7 @@ TEST(CompleteCutGreedy, WithinOneOfOptimalWhenConnected) {
 TEST(CompleteCutGreedy, WithinComponentsOfOptimalInGeneral) {
   for (std::uint64_t seed = 100; seed < 120; ++seed) {
     const auto [bg, side] = test::random_bipartite_graph(10, 9, 0.12, seed);
-    const CompletionResult greedy = complete_cut_greedy(bg);
+    const CompletionResult greedy = run_greedy(bg);
     const CompletionResult exact = complete_cut_exact(bg, side);
     const VertexId comps = connected_components(bg).count();
     EXPECT_LE(greedy.loser_count, exact.loser_count + comps)
@@ -83,8 +100,7 @@ TEST(CompleteCutWeighted, StructurallyValid) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto [bg, side] = test::random_bipartite_graph(8, 8, 0.2, seed);
     std::vector<Weight> node_weight(bg.num_vertices(), 1);
-    const CompletionResult r = complete_cut_weighted(
-        bg, side, node_weight, 0, 0);
+    const CompletionResult r = run_weighted(bg, side, node_weight, 0, 0);
     validate_completion(bg, r);
   }
 }
@@ -96,7 +112,7 @@ TEST(CompleteCutWeighted, PullsWinnersToLighterSide) {
   const std::vector<std::uint8_t> side{0, 0, 1, 1};
   const std::vector<Weight> node_weight{5, 5, 5, 5};
   const CompletionResult r =
-      complete_cut_weighted(bg, side, node_weight, /*w0=*/100, /*w1=*/0);
+      run_weighted(bg, side, node_weight, /*w0=*/100, /*w1=*/0);
   EXPECT_EQ(r.winner[2], 1);
   EXPECT_EQ(r.winner[3], 1);
   EXPECT_EQ(r.winner[0], 0);
@@ -108,7 +124,7 @@ TEST(CompleteCutWeighted, EqualWeightsBehaveLikeGreedyQuality) {
     const auto [bg, side] = test::random_bipartite_graph(9, 9, 0.2, seed);
     std::vector<Weight> node_weight(bg.num_vertices(), 1);
     const CompletionResult weighted =
-        complete_cut_weighted(bg, side, node_weight, 0, 0);
+        run_weighted(bg, side, node_weight, 0, 0);
     const CompletionResult exact = complete_cut_exact(bg, side);
     const VertexId comps = connected_components(bg).count();
     // The weighted rule trades some cut quality for balance but stays in
@@ -129,12 +145,12 @@ TEST(CompleteCutWeighted, RejectsSizeMismatch) {
   const std::vector<std::uint8_t> side{0, 1};
   const std::vector<Weight> short_weights{1};
   EXPECT_THROW(
-      (void)complete_cut_weighted(bg, side, short_weights, 0, 0),
+      (void)run_weighted(bg, side, short_weights, 0, 0),
       PreconditionError);
 }
 
 TEST(CompleteCutGreedy, EmptyGraph) {
-  const CompletionResult r = complete_cut_greedy(Graph{});
+  const CompletionResult r = run_greedy(Graph{});
   EXPECT_EQ(r.winner_count, 0U);
   EXPECT_EQ(r.loser_count, 0U);
 }
@@ -146,7 +162,7 @@ TEST(CompleteCutGreedy, LoserCountUpperBoundsHalf) {
   // that winners + losers partition the vertex set.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto [bg, side] = test::random_bipartite_graph(10, 10, 0.15, seed);
-    const CompletionResult r = complete_cut_greedy(bg);
+    const CompletionResult r = run_greedy(bg);
     EXPECT_EQ(r.winner_count + r.loser_count, bg.num_vertices());
     if (bg.num_vertices() > 0) EXPECT_GE(r.winner_count, 1U);
   }

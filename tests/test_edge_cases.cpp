@@ -59,7 +59,8 @@ TEST(EdgeCases, StarNetlistHubForcesCuts) {
   EXPECT_GE(r.metrics.cut_edges, 1U);
   // Intersection graph of a star is complete: BFS depth (eccentricity) 1.
   const Graph g = intersection_graph(h);
-  EXPECT_EQ(bfs(g, 0).depth, 1U);
+  Workspace ws;
+  EXPECT_EQ(bfs_scan(g, 0, ws).depth, 1U);
 }
 
 TEST(EdgeCases, NetCoveringAllModules) {

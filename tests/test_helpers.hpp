@@ -5,9 +5,14 @@
 /// tests.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +22,16 @@
 #include "util/rng.hpp"
 
 namespace fhp::test {
+
+/// A temp directory path private to the running test (pid + test name):
+/// ctest -j runs every test in its own process, so fixtures that shared one
+/// fixed directory deleted each other's files in TearDown.
+inline std::filesystem::path per_test_temp_dir(const std::string& prefix) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::filesystem::temp_directory_path() /
+         (prefix + "_" + std::to_string(::getpid()) + "_" + info->name());
+}
 
 /// Chain netlist: modules 0..n-1, nets {i, i+1}. Its intersection graph is
 /// a path of n-1 vertices.

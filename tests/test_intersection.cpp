@@ -6,6 +6,7 @@
 #include "gen/grid.hpp"
 #include "gen/planted.hpp"
 #include "gen/random_hypergraph.hpp"
+#include "hypergraph/transform.hpp"
 #include "test_helpers.hpp"
 
 namespace fhp {
@@ -133,18 +134,17 @@ TEST(Intersection, CountingBuildMatchesReferenceAcrossGenerators) {
       generate_circuit(table2_params(120, 210, Technology::kStandardCell), 9));
 
   ThreadPool pool(3);
-  for (const auto& [name, h] : instances) {
+  for (const auto& [name, unfiltered] : instances) {
+    // Algorithm I builds G from the large-net-filtered hypergraph.
     for (const std::uint32_t threshold : {0U, 4U, 10U}) {
-      IntersectionOptions options;
-      options.large_edge_threshold = threshold;
-      const Graph expect = intersection_graph_reference(h, options);
-      const Graph serial = intersection_graph(h, options);
-      expect_same_csr(serial, expect, name);
-      options.pool = &pool;
-      const Graph parallel = intersection_graph(h, options);
-      expect_same_csr(parallel, expect, name);
-      const Graph parallel_ref = intersection_graph_reference(h, options);
-      expect_same_csr(parallel_ref, expect, name);
+      const Hypergraph h =
+          threshold == 0
+              ? unfiltered
+              : filter_large_edges(unfiltered, threshold).hypergraph;
+      const Graph expect = intersection_graph_reference(h);
+      expect_same_csr(intersection_graph(h), expect, name);
+      expect_same_csr(intersection_graph(h, &pool), expect, name);
+      expect_same_csr(intersection_graph_reference(h, &pool), expect, name);
     }
   }
 }
@@ -157,25 +157,19 @@ TEST(Intersection, CountingBuildMatchesReferenceOnRandomHypergraphs) {
   params.max_degree = 7;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const Hypergraph h = random_hypergraph(params, seed);
-    IntersectionOptions options;
-    options.large_edge_threshold = (seed % 2 == 0) ? 0U : 4U;
-    const Graph expect = intersection_graph_reference(h, options);
-    const Graph got = intersection_graph(h, options);
-    expect_same_csr(got, expect, "random");
+    expect_same_csr(intersection_graph(h), intersection_graph_reference(h),
+                    "random");
   }
 }
 
-TEST(Intersection, CountingBuildHandlesEmptyAndFullyFiltered) {
+TEST(Intersection, CountingBuildHandlesEmptyAndIsolatedNets) {
   EXPECT_EQ(intersection_graph_reference(Hypergraph{}).num_vertices(), 0U);
-  // Threshold below every net size: all G-vertices isolated, zero edges.
-  const Hypergraph h =
-      Hypergraph::from_edges(6, {{0, 1, 2}, {2, 3, 4}, {3, 4, 5}});
-  IntersectionOptions options;
-  options.large_edge_threshold = 2;
-  const Graph g = intersection_graph(h, options);
+  // Nets sharing no module: all G-vertices isolated, zero edges.
+  const Hypergraph h = Hypergraph::from_edges(6, {{0, 1}, {2, 3}, {4, 5}});
+  const Graph g = intersection_graph(h);
   EXPECT_EQ(g.num_vertices(), 3U);
   EXPECT_EQ(g.num_edges(), 0U);
-  expect_same_csr(g, intersection_graph_reference(h, options), "filtered");
+  expect_same_csr(g, intersection_graph_reference(h), "isolated");
 }
 
 }  // namespace

@@ -171,11 +171,14 @@ TEST(Invariants, SaBestStateNeverWorseThanFinal) {
 
 TEST(Invariants, BfsDistanceTriangleInequality) {
   const Graph g = test::connected_random_graph(60, 0.06, 21);
-  const BfsResult from0 = bfs(g, 0);
-  const BfsResult from5 = bfs(g, 5);
+  Workspace from0;
+  Workspace from5;
+  static_cast<void>(bfs_scan(g, 0, from0));
+  static_cast<void>(bfs_scan(g, 5, from5));
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     // d(0, v) <= d(0, 5) + d(5, v)
-    EXPECT_LE(from0.distance[v], from0.distance[5] + from5.distance[v]);
+    EXPECT_LE(from0.distance.get(v),
+              from0.distance.get(5) + from5.distance.get(v));
   }
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/algorithm1.hpp"
 #include "graph/maxflow.hpp"
 #include "hypergraph/bookshelf.hpp"
 #include "hypergraph/io.hpp"
@@ -53,6 +54,21 @@ TEST(LargeIds, IndexWidthMatchesBuildConfiguration) {
   static_assert(sizeof(EdgeId) == sizeof(Index));
   EXPECT_EQ(kMaxIndexCount,
             static_cast<unsigned long long>(std::numeric_limits<Index>::max()));
+}
+
+TEST(LargeIds, MemoKeySeparatesPairsDifferingAboveBit31) {
+  // Start memoization must key on the full (s, t) pair: packing it into
+  // one 64-bit word would merge these pairs once ids pass 2^32.
+  if constexpr (sizeof(VertexId) < 8) {
+    GTEST_SKIP() << "ids above 2^32 need FHP_INDEX_64";
+  } else {
+    const auto high = static_cast<VertexId>(std::uint64_t{1} << 32);
+    const std::vector<DiameterPair> pairs = {
+        {5, 7, 3}, {5 | high, 7, 3}, {5, 7 | high, 3},
+        {5 | high, 7 | high, 3}, {5, 7, 3}, {5, 7 | high, 3}};
+    EXPECT_EQ(memo_owners(pairs),
+              (std::vector<std::size_t>{0, 1, 2, 3, 0, 2}));
+  }
 }
 
 TEST(LargeIds, HmetisCountsBeyondInt32AreRejectedOn32BitBuilds) {

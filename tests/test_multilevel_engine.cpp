@@ -5,9 +5,9 @@
 ///
 /// The determinism matrix mirrors test_golden_identity.cpp: on the golden
 /// instances the engine's partition must be bit-identical across threads
-/// {1, 2, 8} x reorder on/off x memoize_starts on/off — the coarsener's
-/// parallel rating loop and Algorithm I both promise thread-invariance,
-/// so any drift here is a regression in one of them.
+/// {1, 2, 8} — the coarsener's parallel rating loop and Algorithm I both
+/// promise thread-invariance, so any drift here is a regression in one of
+/// them.
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -77,7 +77,7 @@ TEST(MultilevelCoarsen, ClusteringIsAPartitionWithinTheWeightCap) {
         {max_vertex,
          static_cast<Weight>(
              static_cast<double>(h.total_vertex_weight()) *
-             options.cluster_weight_fraction) +
+             ml::kClusterWeightFraction) +
              1,
          h.total_vertex_weight() /
                  std::max<Weight>(1, options.coarsest_size) +
@@ -166,7 +166,7 @@ TEST(MultilevelCoarsen, HierarchyRespectsCoarsestSizeAndShrinks) {
 TEST(MultilevelCoarsen, StarInstanceStallsInsteadOfLooping) {
   // A star: one hub net connecting everything, no 2-pin locality at all.
   // rating_net_cap excludes the hub net, so no vertex has a partner and
-  // coarsening must stop immediately rather than spin on max_levels.
+  // coarsening must stop immediately rather than spin to the depth cap.
   HypergraphBuilder b;
   std::vector<VertexId> all;
   for (int i = 0; i < 64; ++i) all.push_back(b.add_vertex());
@@ -290,32 +290,20 @@ TEST(MultilevelEngine, DiagnosticsAreConsistent) {
 
 class MultilevelEngineIdentity : public ::testing::TestWithParam<int> {};
 
-TEST_P(MultilevelEngineIdentity, BitIdenticalAcrossThreadsMemoReorder) {
+TEST_P(MultilevelEngineIdentity, BitIdenticalAcrossThreads) {
   const int threads = GetParam();
   for (const char* name : kGoldenInstances) {
     const Hypergraph h = golden_instance(name);
-    std::uint64_t reference = 0;
-    bool have_reference = false;
-    for (const bool memoize : {true, false}) {
-      for (const bool reorder : {true, false}) {
-        ml::EngineOptions options;
-        options.coarsening.coarsest_size = 30;
-        options.initial.num_starts = 8;
-        options.initial.memoize_starts = memoize;
-        options.initial.reorder = reorder;
-        options.seed = 11;
-        options.threads = threads;
-        const ml::MultilevelResult r = ml::multilevel_partition(h, options);
-        const std::uint64_t hash = fnv1a(r.sides);
-        if (!have_reference) {
-          reference = hash;
-          have_reference = true;
-        }
-        EXPECT_EQ(hash, reference)
-            << name << " threads=" << threads << " memoize=" << memoize
-            << " reorder=" << reorder;
-      }
-    }
+    ml::EngineOptions options;
+    options.coarsening.coarsest_size = 30;
+    options.initial.num_starts = 8;
+    options.seed = 11;
+    options.threads = 1;
+    const std::uint64_t reference =
+        fnv1a(ml::multilevel_partition(h, options).sides);
+    options.threads = threads;
+    EXPECT_EQ(fnv1a(ml::multilevel_partition(h, options).sides), reference)
+        << name << " threads=" << threads;
   }
 }
 

@@ -66,8 +66,9 @@ TEST(PaperFigure4, IntersectionGraphAdjacency) {
 TEST(PaperFigure4, FarEndsAreDistant) {
   // The walkthrough picks signals k, l as a furthest-removed pair.
   const Graph g = intersection_graph(test::figure4_hypergraph());
-  const BfsResult from_k = bfs(g, K);
-  const std::uint32_t dist_kl = from_k.distance[L];
+  Workspace ws;
+  const BfsSummary from_k = bfs_scan(g, K, ws);
+  const std::uint32_t dist_kl = ws.distance.get(L);
   EXPECT_GE(dist_kl, 3U);
   EXPECT_EQ(dist_kl, from_k.depth);  // l realizes k's eccentricity
 }
@@ -114,11 +115,14 @@ TEST(PaperFigure4, BoundaryPipelineFromKL) {
   // loses at most 2 nets.
   const Hypergraph h = test::figure4_hypergraph();
   const Graph g = intersection_graph(h);
-  const BidirectionalCut cut = bidirectional_bfs_cut(g, K, L);
-  const BoundaryStructure boundary = extract_boundary(g, cut.side);
+  Workspace ws;
+  BidirectionalCut cut;
+  bidirectional_bfs_cut(g, K, L, ws, cut);
+  BoundaryStructure boundary;
+  extract_boundary(g, cut.side, ws, boundary);
   EXPECT_GT(boundary.size(), 0U);
-  const CompletionResult completion =
-      complete_cut_greedy(boundary.boundary_graph);
+  CompletionResult completion;
+  complete_cut_greedy(boundary.boundary_graph, ws, completion);
   validate_completion(boundary.boundary_graph, completion);
   EXPECT_LE(completion.loser_count, 2U);
 }

@@ -17,6 +17,7 @@
 
 #include "core/algorithm1.hpp"
 #include "gen/planted.hpp"
+#include "validate/reference.hpp"
 
 namespace fhp {
 namespace {
@@ -363,7 +364,7 @@ TEST(Parallel, CurrentLaneSerialPoolStaysZero) {
   for (const int lane : lanes) EXPECT_EQ(lane, 0);
 }
 
-TEST(Parallel, Algorithm1MemoizedMatchesUnmemoizedAtAllThreadCounts) {
+TEST(Parallel, Algorithm1MemoizedMatchesPerStartReferenceAtAllThreadCounts) {
   PlantedParams params;
   params.num_vertices = 90;
   params.num_edges = 150;
@@ -372,18 +373,16 @@ TEST(Parallel, Algorithm1MemoizedMatchesUnmemoizedAtAllThreadCounts) {
   Algorithm1Options options;
   options.num_starts = 16;
   options.seed = 23;
-  options.memoize_starts = false;
   options.threads = 1;
-  const Algorithm1Result reference = algorithm1(h, options);
+  const Algorithm1Context context(h, options);
+  ASSERT_FALSE(context.is_degenerate());
+  const Algorithm1Result reference =
+      validate::per_start_reference(context, options);
   for (const int threads : {1, 2, 8}) {
-    for (const bool memoize : {false, true}) {
-      options.threads = threads;
-      options.memoize_starts = memoize;
-      const Algorithm1Result got = algorithm1(h, options);
-      EXPECT_EQ(got.sides, reference.sides)
-          << "threads=" << threads << " memoize=" << memoize;
-      EXPECT_EQ(got.metrics.cut_edges, reference.metrics.cut_edges);
-    }
+    options.threads = threads;
+    const Algorithm1Result got = algorithm1(h, options);
+    EXPECT_EQ(got.sides, reference.sides) << "threads=" << threads;
+    EXPECT_EQ(got.metrics.cut_edges, reference.metrics.cut_edges);
   }
 }
 

@@ -44,14 +44,18 @@ TEST_P(PipelineProperty, DualCutInvariants) {
     GTEST_SKIP() << "disconnected dual";
   }
 
-  const DiameterPair pair = longest_path_from(g, 0, 2);
-  const BidirectionalCut cut = bidirectional_bfs_cut(g, pair.s, pair.t);
-  const BoundaryStructure b = extract_boundary(g, cut.side);
+  Workspace ws;
+  const DiameterPair pair = longest_path_from(g, 0, 2, ws);
+  BidirectionalCut cut;
+  bidirectional_bfs_cut(g, pair.s, pair.t, ws, cut);
+  BoundaryStructure b;
+  extract_boundary(g, cut.side, ws, b);
 
   // (1) boundary graph is bipartite under its recorded sides;
   EXPECT_TRUE(is_bipartite(b.boundary_graph));
   // (2) greedy completion is a valid independent-set/cover labelling;
-  const CompletionResult greedy = complete_cut_greedy(b.boundary_graph);
+  CompletionResult greedy;
+  complete_cut_greedy(b.boundary_graph, ws, greedy);
   validate_completion(b.boundary_graph, greedy);
   // (3) exact completion is no worse; greedy tracks it closely. (The
   // paper's within-1 theorem does not hold verbatim on every bipartite

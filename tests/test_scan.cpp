@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "test_helpers.hpp"
 #include "util/arena.hpp"
 #include "util/error.hpp"
 #include "util/mmap.hpp"
@@ -196,7 +197,7 @@ TEST(ArenaTest, ZeroCountAllocation) {
 class MappedFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "fhp_test_mmap";
+    dir_ = test::per_test_temp_dir("fhp_test_mmap");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -15,8 +15,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,6 +50,21 @@ std::string test_socket_path() {
           ("fhp_test_serve_" + std::to_string(::getpid()) + "_" +
            std::to_string(counter.fetch_add(1)) + ".sock"))
       .string();
+}
+
+/// Raw unix-socket connection to \p path (-1 on failure).
+int connect_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 /// Small deterministic instance; distinct seeds give distinct
@@ -536,15 +554,8 @@ TEST(ServeEndToEnd, MalformedRequestKeepsTheConnection) {
 
   // Raw socket: the Client refuses to send garbage, so speak the framing
   // layer directly.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_raw(options.socket_path);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, options.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
 
   serve::write_frame(fd, "this is not json");
   const auto error_payload = serve::read_frame(fd);
@@ -584,6 +595,63 @@ TEST(ServeEndToEnd, BadNetlistReturnsTypedErrorNotCrash) {
   // The daemon survives and keeps serving.
   EXPECT_TRUE(client.ping().ok());
   server.shutdown();
+}
+
+TEST(ServeEndToEnd, ShutdownReturnsAfterConnectionChurn) {
+  // Connections that close while others are being accepted recycle fd
+  // numbers. Tearing a connection down must never drop a newer
+  // connection's entry from the daemon's live-fd list, or shutdown()
+  // cannot unblock that connection and hangs joining its thread. Churn
+  // short-lived connections while idle ones open in between, then shut
+  // down with the idle ones still connected.
+  serve::ServerOptions options;
+  options.socket_path = test_socket_path();
+  options.scheduler.threads = 1;
+  serve::Server server(options);
+  server.start();
+
+  constexpr int kChurners = 3;
+  constexpr int kCycles = 150;
+  std::mutex idle_mutex;
+  std::vector<int> idle;
+  std::vector<std::thread> churners;
+  for (int c = 0; c < kChurners; ++c) {
+    churners.emplace_back([&, c] {
+      for (int i = 0; i < kCycles; ++i) {
+        const int fd = connect_raw(options.socket_path);
+        if (fd < 0) continue;
+        if ((i + c) % 10 == 0) {
+          const std::lock_guard<std::mutex> lock(idle_mutex);
+          idle.push_back(fd);  // stays open and silent until the end
+        } else {
+          ::close(fd);
+        }
+      }
+    });
+  }
+  for (std::thread& t : churners) t.join();
+  ASSERT_FALSE(idle.empty());
+
+  // One idle client proves the daemon still answers before shutdown.
+  serve::Request ping;
+  ping.op = serve::Request::Op::kPing;
+  serve::write_frame(idle.front(), serve::to_json(ping));
+  const auto pong = serve::read_frame(idle.front());
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(serve::parse_response(*pong).ok());
+
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    server.shutdown();
+    stopped.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "shutdown() hung on an idle connection";
+  // Closing the clients releases a hung shutdown so the test can finish.
+  for (const int fd : idle) ::close(fd);
+  stopper.join();
 }
 
 TEST(ServeEndToEnd, ConcurrentClientsGetConsistentAnswers) {

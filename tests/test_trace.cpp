@@ -428,35 +428,38 @@ TEST_F(TraceTest, ParallelAlgorithm1ReportsWorkerThreads) {
   options.num_starts = 8;
   options.threads = 4;
   options.collect_trace = true;
-  // Pin the unmemoized loop: this test counts one full pipeline per start,
-  // which start memoization deliberately collapses to one per unique pair.
-  options.memoize_starts = false;
   const Algorithm1Result result = algorithm1(h, options);
-  // Per-start span calls sum exactly no matter which lane ran which start.
-  // (threads >= 2 is NOT asserted here: on a single hardware core the
-  // caller lane can legitimately drain every start before a worker wakes;
-  // RendezvousGuaranteesMultipleRecordingThreads covers the multi-thread
-  // merge deterministically.)
+  // Span calls sum exactly no matter which lane ran which start: every
+  // start finds its pair, and every distinct pair (memo miss) runs the
+  // boundary step once. (threads >= 2 is NOT asserted here: on a single
+  // hardware core the caller lane can legitimately drain every start
+  // before a worker wakes; RendezvousGuaranteesMultipleRecordingThreads
+  // covers the multi-thread merge deterministically.)
   EXPECT_GE(result.trace.threads, 1U);
-  EXPECT_EQ(result.trace.span_calls("boundary"), 8U);
   EXPECT_EQ(result.trace.counter("alg1/starts_examined"), 8);
+  EXPECT_EQ(result.trace.span_calls("boundary"),
+            static_cast<std::uint64_t>(
+                result.trace.counter("algorithm1/starts_memo_misses")));
   EXPECT_NE(obs::to_json(result.trace).find("\"threads\":"),
             std::string::npos);
 }
 #endif
 
 TEST_F(TraceTest, MultiStartCountsEveryStart) {
+  // run_single() is one full pipeline per call, memo or not.
   const Hypergraph h = cross_validation_instance();
   Algorithm1Options options;
   options.seed = 3;
-  options.num_starts = 5;
-  options.collect_trace = true;
-  options.memoize_starts = false;  // count one full pipeline per start
-  const Algorithm1Result result = algorithm1(h, options);
-  EXPECT_EQ(result.starts_run, 5);
+  const Algorithm1Context context(h, options);
+  ASSERT_FALSE(context.is_degenerate());
+  Algorithm1Context::StartScratch scratch;
+  for (VertexId start = 0; start < 5; ++start) {
+    EXPECT_EQ(context.run_single(start, scratch).starts_run, 1);
+  }
 #if FHP_TRACING_ENABLED
-  EXPECT_EQ(result.trace.counter("alg1/starts_examined"), 5);
-  EXPECT_EQ(result.trace.span_calls("boundary"), 5U);
+  const TraceReport report = obs::snapshot();
+  EXPECT_EQ(report.counter("alg1/starts_examined"), 5);
+  EXPECT_EQ(report.span_calls("boundary"), 5U);
 #endif
 }
 

@@ -93,7 +93,9 @@ TEST(AuditBoundary, RealExtractionPassesTamperedOneFails) {
   for (VertexId v = g.num_vertices() / 2; v < g.num_vertices(); ++v) {
     g_side[v] = 1;
   }
-  BoundaryStructure b = extract_boundary(g, g_side);
+  Workspace ws;
+  BoundaryStructure b;
+  extract_boundary(g, g_side, ws, b);
   EXPECT_TRUE(validate::audit_boundary(g, b).ok());
 
   ASSERT_FALSE(b.boundary_nodes.empty());

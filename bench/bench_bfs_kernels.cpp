@@ -242,6 +242,7 @@ int main() {
        false});
   shapes.push_back({"grid16", grid_circuit({16, 16, 0.3, false}, 3), false});
 
+#if FHP_TRACING_ENABLED
   long long scans_topdown = 0;
   long long scans_diropt = 0;
   struct ScanRow {
@@ -252,6 +253,7 @@ int main() {
   std::vector<ScanRow> scan_rows;  // gauges written after the loop:
                                    // count_scans() resets the registry,
                                    // so mid-loop writes would be wiped
+#endif
   for (const Shape& shape : shapes) {
     print_header("instance " + shape.name);
     const Graph g = intersection_graph(shape.h);

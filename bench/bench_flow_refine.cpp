@@ -88,19 +88,20 @@ double median(std::vector<double> xs) {
   return xs[xs.size() / 2];
 }
 
-/// Engine bit-identity across thread counts with the flow refiner in the
-/// per-level seat — the corridor BFS, gadget build and Dinic are all
-/// serial fixed-order code, so the engine's identity contract must be
-/// unchanged by the premium refiner.
+/// Engine bit-identity across thread counts with corridor flow refining
+/// every level — the corridor BFS, gadget build and Dinic are all serial
+/// fixed-order code, so the engine's identity contract must be unchanged
+/// by the premium refiner.
 void check_thread_identity(const Hypergraph& h, const std::string& name) {
   print_header("bit-identity across thread counts: " + name + " (flow+fm)");
-  ml::EngineOptions options;
-  options.refiner = ml::RefinerChoice::kFlowFm;
-  options.threads = 1;
-  const ml::MultilevelResult reference = ml::multilevel_partition(h, options);
+  ml::PartitionPlan plan;
+  plan.engine = ml::EngineChoice::kMultilevel;
+  plan.refiner = ml::RefinerChoice::kFlowFm;
+  plan.algorithm1.threads = 1;
+  const ml::EngineResult reference = ml::partition_auto(h, plan);
   for (int threads : {2, 8}) {
-    options.threads = threads;
-    const ml::MultilevelResult r = ml::multilevel_partition(h, options);
+    plan.algorithm1.threads = threads;
+    const ml::EngineResult r = ml::partition_auto(h, plan);
     check(r.sides == reference.sides &&
               r.metrics.cut_weight == reference.metrics.cut_weight,
           name + ": flow+fm engine threads=" + std::to_string(threads) +

@@ -43,9 +43,11 @@ void check(bool ok, const char* what) {
   }
 }
 
+#if FHP_TRACING_ENABLED
 long long counter(const char* name) {
   return obs::Counters::instance().value(name);
 }
+#endif
 
 /// The configuration every leg runs: 50 starts, seed 7, \p threads lanes.
 Algorithm1Options hotpath_options(int threads) {

@@ -81,12 +81,13 @@ void check_thread_identity(const Hypergraph& h, const std::string& name) {
               " == serial");
   }
 
-  ml::EngineOptions options;
-  options.threads = 1;
-  const ml::MultilevelResult reference = ml::multilevel_partition(h, options);
+  ml::PartitionPlan plan;
+  plan.engine = ml::EngineChoice::kMultilevel;
+  plan.algorithm1.threads = 1;
+  const ml::EngineResult reference = ml::partition_auto(h, plan);
   for (int threads : {2, 8}) {
-    options.threads = threads;
-    const ml::MultilevelResult r = ml::multilevel_partition(h, options);
+    plan.algorithm1.threads = threads;
+    const ml::EngineResult r = ml::partition_auto(h, plan);
     check(r.sides == reference.sides &&
               r.metrics.cut_weight == reference.metrics.cut_weight,
           name + ": engine threads=" + std::to_string(threads) +
@@ -117,11 +118,12 @@ void race(const GatedInstance& gated) {
     // Default engine configuration (reduced coarse-start budget, relative
     // coarsening floor) vs the default flat path — exactly the two
     // configurations partition_auto routes between.
-    ml::EngineOptions engine_options;
-    engine_options.seed = static_cast<std::uint64_t>(seed);
+    ml::PartitionPlan engine_plan;
+    engine_plan.engine = ml::EngineChoice::kMultilevel;
+    engine_plan.algorithm1.seed = static_cast<std::uint64_t>(seed);
     const TimedRun ml = measure(
         ("multilevel/" + spec.name).c_str(),
-        [&] { return ml::multilevel_partition(h, engine_options); },
+        [&] { return ml::partition_auto(h, engine_plan); },
         /*warmup=*/0, gated.timed_reps);
 
     FmOptions fm_options;

@@ -29,7 +29,6 @@ int main() {
   constexpr int kThreadCounts[] = {1, 2, 4, 8};
   constexpr int kReps = 3;
   double mean_seconds[4] = {0, 0, 0, 0};
-  EdgeId cuts[4] = {0, 0, 0, 0};
   std::vector<std::uint8_t> reference_sides;
 
   for (int ti = 0; ti < 4; ++ti) {
@@ -46,7 +45,6 @@ int main() {
       });
       mean_seconds[ti] += last.seconds / kReps;
     }
-    cuts[ti] = last.cut;
     std::printf("  %2d lane%s  %8.3f ms/run   cut %u\n", threads,
                 threads == 1 ? " " : "s", mean_seconds[ti] * 1e3, last.cut);
     if (ti == 0) {

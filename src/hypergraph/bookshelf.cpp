@@ -163,7 +163,11 @@ BookshelfDesign read_bookshelf(std::istream& nodes, std::istream& nets) {
                   std::to_string(pins_seen) + " pins were listed");
   }
 
-  design.netlist.hypergraph = std::move(builder).build();
+  try {
+    design.netlist.hypergraph = std::move(builder).build();
+  } catch (const PreconditionError& e) {
+    throw IoError(e.what());  // node areas summing past the Weight range
+  }
   return design;
 }
 

@@ -259,9 +259,13 @@ BookshelfDesign read_bookshelf(std::string_view nodes_text,
   edge_pins.resize(write);
 
   const auto num_edges = edge_offsets.size() - 1;
-  design.netlist.hypergraph = Hypergraph::from_csr(
-      std::move(edge_offsets), std::move(edge_pins),
-      std::move(vertex_weights), std::vector<Weight>(num_edges, Weight{1}));
+  try {
+    design.netlist.hypergraph = Hypergraph::from_csr(
+        std::move(edge_offsets), std::move(edge_pins),
+        std::move(vertex_weights), std::vector<Weight>(num_edges, Weight{1}));
+  } catch (const PreconditionError& e) {
+    throw IoError(e.what());  // node areas summing past the Weight range
+  }
   return design;
 }
 

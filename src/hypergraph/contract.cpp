@@ -79,16 +79,4 @@ ContractionResult contract(const Hypergraph& h, std::vector<VertexId> cluster,
   return result;
 }
 
-std::vector<std::uint8_t> project_sides(
-    const std::vector<VertexId>& cluster,
-    const std::vector<std::uint8_t>& coarse_sides) {
-  std::vector<std::uint8_t> sides(cluster.size(), 0);
-  for (std::size_t v = 0; v < cluster.size(); ++v) {
-    FHP_REQUIRE(cluster[v] < coarse_sides.size(),
-                "cluster id outside the coarse partition");
-    sides[v] = coarse_sides[cluster[v]];
-  }
-  return sides;
-}
-
 }  // namespace fhp

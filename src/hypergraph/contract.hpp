@@ -29,9 +29,4 @@ struct ContractionResult {
                                          std::vector<VertexId> cluster,
                                          VertexId num_clusters);
 
-/// Projects a coarse side assignment back to the fine hypergraph.
-[[nodiscard]] std::vector<std::uint8_t> project_sides(
-    const std::vector<VertexId>& cluster,
-    const std::vector<std::uint8_t>& coarse_sides);
-
 }  // namespace fhp

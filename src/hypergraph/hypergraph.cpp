@@ -149,6 +149,22 @@ Hypergraph Hypergraph::from_csr(std::vector<std::size_t> edge_offsets,
   return h;
 }
 
+namespace {
+
+/// Sum of \p weights; a set whose total leaves the Weight range is
+/// rejected with PreconditionError(\p what) (the parsers report it as
+/// IoError).
+Weight checked_total(const std::vector<Weight>& weights, const char* what) {
+  Weight total = 0;
+  for (const Weight w : weights) {
+    const bool overflow = __builtin_add_overflow(total, w, &total);
+    FHP_REQUIRE(!overflow, what);
+  }
+  return total;
+}
+
+}  // namespace
+
 void Hypergraph::finalize_from_edge_csr() {
   const VertexId nv = static_cast<VertexId>(vertex_weights_.size());
   const EdgeId ne = static_cast<EdgeId>(edge_weights_.size());
@@ -168,10 +184,10 @@ void Hypergraph::finalize_from_edge_csr() {
     }
   }
 
-  total_vertex_weight_ = 0;
-  for (Weight w : vertex_weights_) total_vertex_weight_ += w;
-  total_edge_weight_ = 0;
-  for (Weight w : edge_weights_) total_edge_weight_ += w;
+  total_vertex_weight_ = checked_total(
+      vertex_weights_, "total module weight exceeds the Weight range");
+  total_edge_weight_ = checked_total(
+      edge_weights_, "total net weight exceeds the Weight range");
   max_edge_size_ = 0;
   for (EdgeId e = 0; e < ne; ++e) {
     max_edge_size_ = std::max(max_edge_size_, edge_size(e));

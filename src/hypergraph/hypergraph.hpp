@@ -39,7 +39,8 @@ class Hypergraph {
   /// The streaming parsers produce rows in exactly this form, skipping the
   /// per-edge vector staging of HypergraphBuilder entirely. The inverse
   /// incidence is derived here by counting sort. Row preconditions are
-  /// checked in debug builds only; size/shape preconditions always.
+  /// checked in debug builds only; size/shape preconditions and the
+  /// weight totals (each must fit in Weight) always.
   [[nodiscard]] static Hypergraph from_csr(
       std::vector<std::size_t> edge_offsets, std::vector<VertexId> edge_pins,
       std::vector<Weight> vertex_weights, std::vector<Weight> edge_weights);
@@ -192,6 +193,8 @@ class HypergraphBuilder {
   }
 
   /// Finalizes into an immutable Hypergraph. The builder is consumed.
+  /// Throws PreconditionError when the module or net weights sum past
+  /// the Weight range.
   [[nodiscard]] Hypergraph build() &&;
 
  private:

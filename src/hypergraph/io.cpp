@@ -146,7 +146,11 @@ Hypergraph read_hmetis(std::istream& in) {
       builder.set_vertex_weight(static_cast<VertexId>(v), values[0]);
     }
   }
-  return std::move(builder).build();
+  try {
+    return std::move(builder).build();
+  } catch (const PreconditionError& e) {
+    throw IoError(e.what());  // weight totals past the Weight range
+  }
 }
 
 // read_hmetis_file lives in io_scan.cpp: the disk entry point maps the file

@@ -173,9 +173,13 @@ Hypergraph read_hmetis(std::string_view text) {
     }
   }
 
-  return Hypergraph::from_csr(std::move(edge_offsets), std::move(edge_pins),
-                              std::move(vertex_weights),
-                              std::move(edge_weights));
+  try {
+    return Hypergraph::from_csr(std::move(edge_offsets), std::move(edge_pins),
+                                std::move(vertex_weights),
+                                std::move(edge_weights));
+  } catch (const PreconditionError& e) {
+    throw IoError(e.what());  // weight totals past the Weight range
+  }
 }
 
 Hypergraph read_hmetis_file(const std::string& path) {

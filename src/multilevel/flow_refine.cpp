@@ -288,30 +288,4 @@ Weight FlowRefiner::refine(const Hypergraph& h,
   return before - current;
 }
 
-const char* to_string(RefinerChoice choice) noexcept {
-  switch (choice) {
-    case RefinerChoice::kFm:
-      return "fm";
-    case RefinerChoice::kFlow:
-      return "flow";
-    case RefinerChoice::kFlowFm:
-      return "flow+fm";
-  }
-  return "unknown";
-}
-
-std::unique_ptr<Refiner> make_refiner(RefinerChoice choice,
-                                      const FmRefinerOptions& fm_options,
-                                      const FlowRefinerOptions& flow_options) {
-  switch (choice) {
-    case RefinerChoice::kFlow:
-      return std::make_unique<FlowRefiner>(flow_options);
-    case RefinerChoice::kFlowFm:
-      return std::make_unique<FlowFmRefiner>(flow_options, fm_options);
-    case RefinerChoice::kFm:
-      break;
-  }
-  return std::make_unique<FmRefiner>(fm_options);
-}
-
 }  // namespace fhp::ml

@@ -1,6 +1,6 @@
 /// \file flow_refine.hpp
-/// Flow-based corridor refinement: the premium Refiner of the multilevel
-/// engine (docs/multilevel.md, "Corridor flow refinement").
+/// Flow-based corridor refinement: the premium per-level refinement of the
+/// multilevel engine (docs/multilevel.md, "Corridor flow refinement").
 ///
 /// The recipe follows the network-flow refinement family (Heuer, Sanders
 /// & Schlag; Gottesbüren & Hamann, PAPERS.md): around an existing cut,
@@ -20,15 +20,14 @@
 /// bound keeps each solve far cheaper than a whole-instance flow
 /// bipartition (baselines/flow.hpp). The refiner is deterministic — the
 /// corridor BFS, gadget construction and Dinic all iterate in fixed CSR
-/// order — so the engine's bit-identity contract across thread counts and
-/// option toggles is preserved (the Refiner seed is accepted and unused).
+/// order — so the engine's bit-identity contract across thread counts is
+/// preserved (refine() accepts a seed like FmRefiner and ignores it).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "multilevel/refine.hpp"
+#include "hypergraph/hypergraph.hpp"
 #include "util/ids.hpp"
 #include "util/workspace.hpp"
 
@@ -92,16 +91,17 @@ struct CorridorSolve {
     const Hypergraph& h, const std::vector<std::uint8_t>& sides,
     const std::vector<std::uint8_t>& in_corridor);
 
-/// Flow-based corridor refinement behind the engine's Refiner seat.
-class FlowRefiner final : public Refiner {
+/// Flow-based corridor refinement.
+class FlowRefiner {
  public:
   explicit FlowRefiner(const FlowRefinerOptions& options = {})
       : options_(options) {}
 
+  /// Refines \p sides (one 0/1 entry per vertex of \p h) in place and
+  /// returns the cut weight removed (>= 0; never worsens the partition).
   [[nodiscard]] Weight refine(const Hypergraph& h,
                               std::vector<std::uint8_t>& sides,
-                              std::uint64_t seed) override;
-  [[nodiscard]] const char* name() const noexcept override { return "flow"; }
+                              std::uint64_t seed);
 
  private:
   FlowRefinerOptions options_;
@@ -110,44 +110,5 @@ class FlowRefiner final : public Refiner {
   /// as the Algorithm I kernels (util/workspace.hpp).
   Workspace ws_;
 };
-
-/// "flow+fm": one corridor-flow pass then FM polish per level. Flow
-/// repairs the global mistakes FM cannot see; FM then cleans up the
-/// single-vertex moves a corridor boundary leaves behind. This is the
-/// premium engine configuration (bench_flow_refine).
-class FlowFmRefiner final : public Refiner {
- public:
-  FlowFmRefiner(const FlowRefinerOptions& flow_options = {},
-                const FmRefinerOptions& fm_options = {})
-      : flow_(flow_options), fm_(fm_options) {}
-
-  [[nodiscard]] Weight refine(const Hypergraph& h,
-                              std::vector<std::uint8_t>& sides,
-                              std::uint64_t seed) override {
-    return flow_.refine(h, sides, seed) + fm_.refine(h, sides, seed);
-  }
-  [[nodiscard]] const char* name() const noexcept override {
-    return "flow+fm";
-  }
-
- private:
-  FlowRefiner flow_;
-  FmRefiner fm_;
-};
-
-/// Which per-level refiner the engine runs.
-enum class RefinerChoice {
-  kFm,      ///< boundary FM (the fast default)
-  kFlow,    ///< corridor flow only
-  kFlowFm,  ///< corridor flow then FM polish (premium quality)
-};
-
-/// Stable name for reports/CLI ("fm" / "flow" / "flow+fm").
-[[nodiscard]] const char* to_string(RefinerChoice choice) noexcept;
-
-/// Instantiates the chosen refiner with the given knob sets.
-[[nodiscard]] std::unique_ptr<Refiner> make_refiner(
-    RefinerChoice choice, const FmRefinerOptions& fm_options = {},
-    const FlowRefinerOptions& flow_options = {});
 
 }  // namespace fhp::ml

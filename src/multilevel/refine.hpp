@@ -1,10 +1,7 @@
 /// \file refine.hpp
-/// Per-level refinement interface of the uncoarsening phase.
-///
-/// The engine projects the coarse partition down one level and hands it to
-/// a Refiner to improve in place. The interface is deliberately minimal so
-/// alternative refiners (the flow-based corridor refiner on the roadmap)
-/// slot in without touching the engine.
+/// Boundary Fiduccia–Mattheyses refinement of the uncoarsening phase: the
+/// engine projects the coarse partition down one level and improves it
+/// in place (docs/multilevel.md).
 #pragma once
 
 #include <cstdint>
@@ -14,24 +11,7 @@
 
 namespace fhp::ml {
 
-/// Improves a bipartition in place on one hierarchy level.
-class Refiner {
- public:
-  virtual ~Refiner() = default;
-
-  /// Refines \p sides (one 0/1 entry per vertex of \p h) in place and
-  /// returns the achieved cut-weight improvement (>= 0; never worsens the
-  /// partition). \p seed is forked deterministically per level by the
-  /// engine, so equal (instance, options, seed) runs are bit-identical.
-  [[nodiscard]] virtual Weight refine(const Hypergraph& h,
-                                      std::vector<std::uint8_t>& sides,
-                                      std::uint64_t seed) = 0;
-
-  /// Stable identifier for reports and traces.
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-};
-
-/// Knobs of the default Fiduccia–Mattheyses refiner.
+/// Knobs of the Fiduccia–Mattheyses refiner.
 struct FmRefinerOptions {
   /// FM passes per level.
   int max_passes = 8;
@@ -52,15 +32,17 @@ inline constexpr VertexId kFullFmThreshold = 1024;
 /// Fiduccia–Mattheyses per-level refinement (baselines/fm.hpp): seeds FM
 /// with the projected partition and keeps the result only when it is no
 /// worse than the input.
-class FmRefiner final : public Refiner {
+class FmRefiner {
  public:
   explicit FmRefiner(const FmRefinerOptions& options = {})
       : options_(options) {}
 
+  /// Refines \p sides (one 0/1 entry per vertex of \p h) in place and
+  /// returns the cut weight removed (>= 0; never worsens the partition).
+  /// Equal (instance, options, seed) calls are bit-identical.
   [[nodiscard]] Weight refine(const Hypergraph& h,
                               std::vector<std::uint8_t>& sides,
-                              std::uint64_t seed) override;
-  [[nodiscard]] const char* name() const noexcept override { return "fm"; }
+                              std::uint64_t seed);
 
  private:
   FmRefinerOptions options_;

@@ -43,8 +43,8 @@ ml::PartitionPlan make_plan(const RequestOptions& options,
   // start budget, so it is the first quality knob the deadline sacrifices.
   plan.refiner =
       budget.degraded ? ml::RefinerChoice::kFm : options.refiner;
-  plan.coarse_num_starts = std::min(ml::default_initial_options().num_starts,
-                                    budget.effective_starts);
+  plan.coarse_num_starts =
+      std::min(plan.coarse_num_starts, budget.effective_starts);
   return plan;
 }
 
@@ -135,12 +135,9 @@ ScheduleResult Scheduler::partition(Hypergraph&& h,
       if (std::optional<ml::EngineResult> hit = cache_.lookup(key)) {
         ScheduleResult result;
         result.status = "ok";
-        result.engine_used = hit->engine_used;
-        result.levels = hit->levels;
+        result.engine = std::move(*hit);
         result.cached = true;
         result.starts_used = options.starts;
-        result.metrics = hit->metrics;
-        result.sides = std::move(hit->sides);
         result.latency_us = elapsed_us(admitted);
         completed_.fetch_add(1, std::memory_order_relaxed);
         FHP_HIST_RECORD("serve/latency_us", result.latency_us);
@@ -248,15 +245,10 @@ void Scheduler::execute(Job& job, int threads) {
     // The thread count steers only wall time, never the result (engine
     // determinism contract), so it is set here and not in make_plan.
     plan.algorithm1.threads = threads;
-    const ml::EngineResult engine =
-        ml::partition_auto(job.hypergraph, plan);
+    job.result.engine = ml::partition_auto(job.hypergraph, plan);
     job.result.status = "ok";
-    job.result.engine_used = engine.engine_used;
-    job.result.levels = engine.levels;
     job.result.degraded = job.budget.degraded;
     job.result.starts_used = job.budget.effective_starts;
-    job.result.metrics = engine.metrics;
-    job.result.sides = engine.sides;
   } catch (const std::exception& error) {
     job.result.status = "error";
     job.result.error = error.what();
@@ -267,14 +259,7 @@ void Scheduler::complete(const std::shared_ptr<Job>& job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (job->use_cache) {
-      if (job->result.ok()) {
-        ml::EngineResult entry;
-        entry.sides = job->result.sides;
-        entry.metrics = job->result.metrics;
-        entry.engine_used = job->result.engine_used;
-        entry.levels = job->result.levels;
-        cache_.insert(job->key, entry);
-      }
+      if (job->result.ok()) cache_.insert(job->key, job->result.engine);
       inflight_.erase(job->key);
     }
     job->done = true;

@@ -91,14 +91,12 @@ struct BudgetDecision {
 struct ScheduleResult {
   std::string status;  ///< "ok" | "rejected" | "error"
   std::string error;
-  ml::EngineChoice engine_used = ml::EngineChoice::kFlat;
-  int levels = 0;
+  /// The engine's answer (computed, or the cached copy of one).
+  ml::EngineResult engine;
   bool cached = false;
   bool degraded = false;
   int starts_used = 0;
   std::int64_t latency_us = 0;
-  PartitionMetrics metrics;
-  std::vector<std::uint8_t> sides;
 
   [[nodiscard]] bool ok() const noexcept { return status == "ok"; }
 };

@@ -179,14 +179,15 @@ Response Server::handle(const Request& request) {
         response.status = scheduled.status;
         response.error = scheduled.error;
         if (scheduled.ok()) {
-          response.engine = ml::to_string(scheduled.engine_used);
-          response.levels = scheduled.levels;
+          ml::EngineResult& engine = scheduled.engine;
+          response.engine = ml::to_string(engine.engine_used);
+          response.levels = engine.levels;
           response.cached = scheduled.cached;
           response.degraded = scheduled.degraded;
           response.starts_used = scheduled.starts_used;
-          response.cut_weight = scheduled.metrics.cut_weight;
-          response.cut_edges = scheduled.metrics.cut_edges;
-          response.sides = std::move(scheduled.sides);
+          response.cut_weight = engine.metrics.cut_weight;
+          response.cut_edges = engine.metrics.cut_edges;
+          response.sides = std::move(engine.sides);
         }
       } catch (const std::exception& error) {
         // Bad netlists (and any other typed failure) stay request-local.

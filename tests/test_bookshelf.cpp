@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "core/algorithm1.hpp"
 #include "test_helpers.hpp"
@@ -111,6 +113,19 @@ TEST(Bookshelf, RejectsMalformedInput) {
         "UCLA nodes 1.0\nNumNodes : 1\nNumTerminals : 5\n a 1 1\n");
     std::istringstream nets("UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n");
     EXPECT_THROW((void)read_bookshelf(nodes, nets), IoError);  // terminals
+  }
+  {
+    // Each node area fits in Weight; their total does not. Both parsers.
+    const std::string nodes_text =
+        "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n"
+        " a 3000000000 2000000000\n b 3000000000 2000000000\n";
+    const std::string nets_text = "UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n";
+    std::istringstream nodes(nodes_text);
+    std::istringstream nets(nets_text);
+    EXPECT_THROW((void)read_bookshelf(nodes, nets), IoError);
+    EXPECT_THROW((void)read_bookshelf(std::string_view(nodes_text),
+                                      std::string_view(nets_text)),
+                 IoError);
   }
 }
 

@@ -164,7 +164,9 @@ TEST(CompleteCutGreedy, LoserCountUpperBoundsHalf) {
     const auto [bg, side] = test::random_bipartite_graph(10, 10, 0.15, seed);
     const CompletionResult r = run_greedy(bg);
     EXPECT_EQ(r.winner_count + r.loser_count, bg.num_vertices());
-    if (bg.num_vertices() > 0) EXPECT_GE(r.winner_count, 1U);
+    if (bg.num_vertices() > 0) {
+      EXPECT_GE(r.winner_count, 1U);
+    }
   }
 }
 

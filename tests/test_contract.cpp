@@ -13,6 +13,16 @@
 namespace fhp {
 namespace {
 
+/// The side of each fine vertex: the side of its cluster.
+std::vector<std::uint8_t> project(const std::vector<VertexId>& cluster,
+                                  const std::vector<std::uint8_t>& coarse) {
+  std::vector<std::uint8_t> fine(cluster.size());
+  for (std::size_t v = 0; v < cluster.size(); ++v) {
+    fine[v] = coarse[cluster[v]];
+  }
+  return fine;
+}
+
 TEST(Contract, PairMergeOnChain) {
   // Chain of 6 modules; contract pairs (0,1), (2,3), (4,5).
   const Hypergraph h = test::path_hypergraph(6);
@@ -62,7 +72,7 @@ TEST(Contract, CutIsPreservedUnderProjection) {
   const ContractionResult r = contract(h, cluster, 6);
   std::vector<std::uint8_t> coarse_sides{0, 0, 0, 1, 1, 1};
   const Bipartition coarse(r.hypergraph, coarse_sides);
-  const auto fine_sides = project_sides(r.cluster, coarse_sides);
+  const auto fine_sides = project(r.cluster, coarse_sides);
   const Bipartition fine(h, fine_sides);
   EXPECT_EQ(coarse.cut_weight(), fine.cut_weight());
 }
@@ -165,21 +175,10 @@ TEST(Contract, FuzzedContractionsAreAuditCleanAndCutPreserving) {
       side = static_cast<std::uint8_t>(rng.next_below(2));
     }
     const Bipartition coarse(r.hypergraph, coarse_sides);
-    const Bipartition fine(h, project_sides(r.cluster, coarse_sides));
+    const Bipartition fine(h, project(r.cluster, coarse_sides));
     ASSERT_EQ(coarse.cut_weight(), fine.cut_weight())
         << "instance " << instance;
   }
-}
-
-TEST(ProjectSides, MapsThroughClusters) {
-  const std::vector<VertexId> cluster{0, 1, 1, 0, 2};
-  const std::vector<std::uint8_t> coarse{1, 0, 1};
-  const auto fine = project_sides(cluster, coarse);
-  EXPECT_EQ(fine, (std::vector<std::uint8_t>{1, 0, 0, 1, 1}));
-}
-
-TEST(ProjectSides, RejectsOutOfRangeCluster) {
-  EXPECT_THROW((void)project_sides({0, 5}, {0, 1}), PreconditionError);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// \file test_flow_refine.cpp
 /// The corridor flow refiner (src/multilevel/flow_refine.*): gadget
-/// exactness against brute force, the never-worsens Refiner contract over
+/// exactness against brute force, the never-worsens refiner contract over
 /// a fuzz zoo, typed capacity-overflow failures, engine/flat wiring, and
 /// the FlowRefineIdentity determinism matrix (threads {1, 2, 8}) the TSAN
 /// job runs.
@@ -250,14 +250,27 @@ TEST(SolveCorridor, CapacityOverflowFailsTyped) {
     EXPECT_THROW((void)ml::solve_corridor(h, sides, in_corridor),
                  PreconditionError);
   }
-  // And the refiner propagates the typed failure instead of adopting a
-  // silently-wrong candidate.
+  // Two kHalf nets plus two unit nets: the total net weight leaves the
+  // Weight range, so the hypergraph itself is rejected typed.
   {
     HypergraphBuilder b;
     b.add_vertices(6);
     b.add_edge({0, 1});
     b.add_edge({1, 2}, kHalf);
     b.add_edge({2, 3}, kHalf);
+    b.add_edge({4, 5});
+    EXPECT_THROW((void)std::move(b).build(), PreconditionError);
+  }
+  // Totals that fit, but the corridor's net weights sum to exactly the
+  // uncuttable-arc capacity: the refiner propagates the typed failure
+  // instead of adopting a silently-wrong candidate.
+  constexpr Weight kHalfCapacity = FlowNetwork::kInfiniteCapacity / 2;
+  {
+    HypergraphBuilder b;
+    b.add_vertices(6);
+    b.add_edge({0, 1});
+    b.add_edge({1, 2}, kHalfCapacity);
+    b.add_edge({2, 3}, kHalfCapacity);
     b.add_edge({4, 5});
     const Hypergraph h = std::move(b).build();
     std::vector<std::uint8_t> sides = {0, 0, 1, 1, 0, 1};
@@ -267,7 +280,7 @@ TEST(SolveCorridor, CapacityOverflowFailsTyped) {
 }
 
 // ---------------------------------------------------------------------------
-// FlowRefiner: the Refiner contract
+// FlowRefiner: the refiner contract
 
 TEST(FlowRefine, RepairsAnAlternatingPathToTheOptimum) {
   const Hypergraph h = test::path_hypergraph(16);
@@ -280,7 +293,6 @@ TEST(FlowRefine, RepairsAnAlternatingPathToTheOptimum) {
   EXPECT_EQ(weighted_cut(h, sides), 1);
   // Adoption respected the balance allowance (tolerance 0.10 of 16).
   EXPECT_LE(imbalance_of(h, sides), 2);
-  EXPECT_EQ(std::string(refiner.name()), "flow");
 }
 
 TEST(FlowRefine, ImprovesAWorstCaseTwoClusterStart) {
@@ -379,23 +391,29 @@ TEST(FlowRefine, RefinerChoiceNamesAreStable) {
   EXPECT_STREQ(ml::to_string(ml::RefinerChoice::kFm), "fm");
   EXPECT_STREQ(ml::to_string(ml::RefinerChoice::kFlow), "flow");
   EXPECT_STREQ(ml::to_string(ml::RefinerChoice::kFlowFm), "flow+fm");
-  EXPECT_STREQ(ml::make_refiner(ml::RefinerChoice::kFm)->name(), "fm");
-  EXPECT_STREQ(ml::make_refiner(ml::RefinerChoice::kFlow)->name(), "flow");
-  EXPECT_STREQ(ml::make_refiner(ml::RefinerChoice::kFlowFm)->name(),
-               "flow+fm");
 }
 
 TEST(FlowRefine, FlowFmComposesBothPasses) {
-  const Hypergraph h = test::two_cluster_hypergraph(10, 1);
-  std::vector<std::uint8_t> sides(h.num_vertices());
-  for (std::size_t v = 0; v < sides.size(); ++v) {
-    sides[v] = static_cast<std::uint8_t>(v & 1U);
-  }
+  // flow+fm on the flat path is Algorithm I, then corridor flow, then FM
+  // polish, both refiners seeded with the plan's seed.
+  const Hypergraph h = golden_instance("circuit150");
+  ml::PartitionPlan plan;
+  plan.engine = ml::EngineChoice::kFlat;
+  plan.refiner = ml::RefinerChoice::kFlowFm;
+  plan.algorithm1.seed = 2;
+  const ml::EngineResult r = ml::partition_auto(h, plan);
+
+  std::vector<std::uint8_t> sides = algorithm1(h, plan.algorithm1).sides;
   const Weight before = weighted_cut(h, sides);
-  ml::FlowFmRefiner refiner;
-  const Weight improvement = refiner.refine(h, sides, 2);
-  EXPECT_EQ(improvement, before - weighted_cut(h, sides));
-  EXPECT_LT(weighted_cut(h, sides), before);
+  ml::FlowRefiner flow(plan.flow_refine);
+  ml::FmRefiner fm(plan.refine);
+  const Weight flow_gain = flow.refine(h, sides, plan.algorithm1.seed);
+  const Weight fm_gain = fm.refine(h, sides, plan.algorithm1.seed);
+  EXPECT_GT(flow_gain + fm_gain, 0);  // the post-pass did improve the cut
+  EXPECT_EQ(r.sides, sides);
+  EXPECT_EQ(r.initial_cut_weight, before);
+  EXPECT_EQ(r.refine_improvement, flow_gain + fm_gain);
+  EXPECT_EQ(weighted_cut(h, sides), before - flow_gain - fm_gain);
   EXPECT_TRUE(validate::audit_partition(h, sides).ok());
 }
 
@@ -407,11 +425,13 @@ TEST(FlowRefineEngine, EngineRunsWithEveryRefinerChoice) {
   for (const ml::RefinerChoice choice :
        {ml::RefinerChoice::kFm, ml::RefinerChoice::kFlow,
         ml::RefinerChoice::kFlowFm}) {
-    ml::EngineOptions options;
-    options.coarsening.coarsest_size = 30;
-    options.refiner = choice;
-    options.seed = 3;
-    const ml::MultilevelResult r = ml::multilevel_partition(h, options);
+    ml::PartitionPlan plan;
+    plan.engine = ml::EngineChoice::kMultilevel;
+    plan.coarsening.coarsest_size = 30;
+    plan.refiner = choice;
+    plan.algorithm1.seed = 3;
+    const ml::EngineResult r = ml::partition_auto(h, plan);
+    EXPECT_EQ(r.engine_used, ml::EngineChoice::kMultilevel);
     EXPECT_TRUE(r.metrics.proper) << ml::to_string(choice);
     EXPECT_GE(r.refine_improvement, 0) << ml::to_string(choice);
     EXPECT_LE(r.metrics.cut_weight, r.initial_cut_weight)
@@ -443,8 +463,9 @@ TEST(FlowRefineEngine, FlatPostPassNeverWorsensTheFlatResult) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: the engine's bit-identity contract with flow in the seat
-// (mirrors MultilevelEngineIdentity; the TSAN job runs this matrix).
+// Determinism: the engine's bit-identity contract with corridor flow
+// refining every level (mirrors MultilevelEngineIdentity; the TSAN job
+// runs this matrix).
 
 class FlowRefineIdentity : public ::testing::TestWithParam<int> {};
 
@@ -452,16 +473,16 @@ TEST_P(FlowRefineIdentity, BitIdenticalAcrossThreads) {
   const int threads = GetParam();
   for (const char* name : kGoldenInstances) {
     const Hypergraph h = golden_instance(name);
-    ml::EngineOptions options;
-    options.coarsening.coarsest_size = 30;
-    options.initial.num_starts = 8;
-    options.refiner = ml::RefinerChoice::kFlowFm;
-    options.seed = 11;
-    options.threads = 1;
-    const std::uint64_t reference =
-        fnv1a(ml::multilevel_partition(h, options).sides);
-    options.threads = threads;
-    EXPECT_EQ(fnv1a(ml::multilevel_partition(h, options).sides), reference)
+    ml::PartitionPlan plan;
+    plan.engine = ml::EngineChoice::kMultilevel;
+    plan.coarsening.coarsest_size = 30;
+    plan.coarse_num_starts = 8;
+    plan.refiner = ml::RefinerChoice::kFlowFm;
+    plan.algorithm1.seed = 11;
+    plan.algorithm1.threads = 1;
+    const std::uint64_t reference = fnv1a(ml::partition_auto(h, plan).sides);
+    plan.algorithm1.threads = threads;
+    EXPECT_EQ(fnv1a(ml::partition_auto(h, plan).sides), reference)
         << name << " threads=" << threads;
   }
 }

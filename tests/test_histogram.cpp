@@ -266,7 +266,8 @@ TEST_F(HistogramTest, MacrosRecordWhenTracingCompiled) {
 
 TEST_F(HistogramTest, MacrosCompileToNothingWhenTracingOff) {
   int evaluations = 0;
-  auto side_effect = [&evaluations] {
+  // The macro drops its arguments, so the lambda is never odr-used.
+  [[maybe_unused]] auto side_effect = [&evaluations] {
     ++evaluations;
     return 42LL;
   };

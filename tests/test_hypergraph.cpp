@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -114,6 +115,34 @@ TEST(HypergraphBuilder, RejectsNegativeWeights) {
   b.add_vertices(2);
   EXPECT_THROW(b.add_edge({0, 1}, -3), PreconditionError);
   EXPECT_THROW(b.set_vertex_weight(0, -2), PreconditionError);
+}
+
+TEST(HypergraphBuilder, RejectsWeightTotalsPastTheWeightRange) {
+  constexpr Weight kMax = std::numeric_limits<Weight>::max();
+  {
+    HypergraphBuilder b;
+    b.add_vertex(kMax);
+    b.add_vertex(1);
+    EXPECT_THROW((void)std::move(b).build(), PreconditionError);
+  }
+  {
+    HypergraphBuilder b;
+    b.add_vertices(3);
+    b.add_edge({0, 1}, kMax);
+    b.add_edge({1, 2}, 1);
+    EXPECT_THROW((void)std::move(b).build(), PreconditionError);
+  }
+  EXPECT_THROW((void)Hypergraph::from_csr({0, 2, 4}, {0, 1, 0, 1}, {1, 1},
+                                          {kMax, 1}),
+               PreconditionError);
+  // A total of exactly kMax still fits.
+  HypergraphBuilder b;
+  b.add_vertex(kMax - 1);
+  b.add_vertex(1);
+  b.add_edge({0, 1}, kMax);
+  const Hypergraph h = std::move(b).build();
+  EXPECT_EQ(h.total_vertex_weight(), kMax);
+  EXPECT_EQ(h.total_edge_weight(), kMax);
 }
 
 TEST(HypergraphBuilder, SetWeightRejectsUnknownVertex) {

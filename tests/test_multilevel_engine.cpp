@@ -1,7 +1,7 @@
 /// \file test_multilevel_engine.cpp
 /// The multilevel engine (src/multilevel/): coarsener correctness and
-/// bit-identity across thread counts, hierarchy projection, the Refiner
-/// contract, engine quality, and partition_auto engine selection.
+/// bit-identity across thread counts, hierarchy projection, the FM
+/// refiner's contract, engine quality, and partition_auto engine selection.
 ///
 /// The determinism matrix mirrors test_golden_identity.cpp: on the golden
 /// instances the engine's partition must be bit-identical across threads
@@ -22,6 +22,7 @@
 #include "multilevel/engine.hpp"
 #include "multilevel/hierarchy.hpp"
 #include "multilevel/refine.hpp"
+#include "partition/partition.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 
@@ -57,6 +58,13 @@ Hypergraph golden_instance(const std::string& name) {
 }
 
 const char* const kGoldenInstances[] = {"circuit150", "planted120", "grid9x9"};
+
+/// A plan that forces the V-cycle.
+ml::PartitionPlan multilevel_plan() {
+  ml::PartitionPlan plan;
+  plan.engine = ml::EngineChoice::kMultilevel;
+  return plan;
+}
 
 // ---------------------------------------------------------------------------
 // Coarsener
@@ -211,7 +219,7 @@ TEST(MultilevelHierarchy, ProjectionExpandsClustersAndIsAllocationFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Refiner contract
+// FM refiner contract
 
 TEST(MultilevelRefine, FmRefinerNeverWorsensAndReportsImprovement) {
   const Hypergraph h = test::two_cluster_hypergraph(20, 2);
@@ -224,7 +232,6 @@ TEST(MultilevelRefine, FmRefinerNeverWorsensAndReportsImprovement) {
   const EdgeId after = test::count_cut_edges(h, sides);
   EXPECT_GE(improvement, 0);
   EXPECT_LE(after, before);
-  EXPECT_EQ(std::string(refiner.name()), "fm");
 }
 
 TEST(MultilevelRefine, TrivialInputsAreNoOps) {
@@ -242,10 +249,10 @@ TEST(MultilevelRefine, TrivialInputsAreNoOps) {
 
 TEST(MultilevelEngine, SolvesTwoClustersProperly) {
   const Hypergraph h = test::two_cluster_hypergraph(40, 2);
-  ml::EngineOptions options;
-  options.coarsening.coarsest_size = 20;
-  options.coarsening.coarsest_fraction = 0.0;
-  const ml::MultilevelResult r = ml::multilevel_partition(h, options);
+  ml::PartitionPlan plan = multilevel_plan();
+  plan.coarsening.coarsest_size = 20;
+  plan.coarsening.coarsest_fraction = 0.0;
+  const ml::EngineResult r = ml::partition_auto(h, plan);
   EXPECT_EQ(r.metrics.cut_edges, 2U);
   EXPECT_TRUE(r.metrics.proper);
   EXPECT_EQ(r.metrics.cut_edges, test::count_cut_edges(h, r.sides));
@@ -264,11 +271,10 @@ TEST(MultilevelEngine, FindsPlantedCuts) {
   int wins = 0;
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     const PlantedInstance inst = planted_instance(params, seed);
-    ml::EngineOptions options;
-    options.coarsening.coarsest_size = 60;
-    options.seed = seed + 1;
-    const ml::MultilevelResult r =
-        ml::multilevel_partition(inst.hypergraph, options);
+    ml::PartitionPlan plan = multilevel_plan();
+    plan.coarsening.coarsest_size = 60;
+    plan.algorithm1.seed = seed + 1;
+    const ml::EngineResult r = ml::partition_auto(inst.hypergraph, plan);
     EXPECT_TRUE(r.metrics.proper) << "seed " << seed;
     if (r.metrics.cut_edges <= inst.planted_cut + 2) ++wins;
   }
@@ -277,9 +283,10 @@ TEST(MultilevelEngine, FindsPlantedCuts) {
 
 TEST(MultilevelEngine, DiagnosticsAreConsistent) {
   const Hypergraph h = golden_instance("circuit150");
-  ml::EngineOptions options;
-  options.coarsening.coarsest_size = 40;
-  const ml::MultilevelResult r = ml::multilevel_partition(h, options);
+  ml::PartitionPlan plan = multilevel_plan();
+  plan.coarsening.coarsest_size = 40;
+  const ml::EngineResult r = ml::partition_auto(h, plan);
+  EXPECT_EQ(r.engine_used, ml::EngineChoice::kMultilevel);
   EXPECT_EQ(r.sides.size(), h.num_vertices());
   EXPECT_GE(r.levels, 1);
   EXPECT_GE(r.refine_improvement, 0);
@@ -294,15 +301,14 @@ TEST_P(MultilevelEngineIdentity, BitIdenticalAcrossThreads) {
   const int threads = GetParam();
   for (const char* name : kGoldenInstances) {
     const Hypergraph h = golden_instance(name);
-    ml::EngineOptions options;
-    options.coarsening.coarsest_size = 30;
-    options.initial.num_starts = 8;
-    options.seed = 11;
-    options.threads = 1;
-    const std::uint64_t reference =
-        fnv1a(ml::multilevel_partition(h, options).sides);
-    options.threads = threads;
-    EXPECT_EQ(fnv1a(ml::multilevel_partition(h, options).sides), reference)
+    ml::PartitionPlan plan = multilevel_plan();
+    plan.coarsening.coarsest_size = 30;
+    plan.coarse_num_starts = 8;
+    plan.algorithm1.seed = 11;
+    plan.algorithm1.threads = 1;
+    const std::uint64_t reference = fnv1a(ml::partition_auto(h, plan).sides);
+    plan.algorithm1.threads = threads;
+    EXPECT_EQ(fnv1a(ml::partition_auto(h, plan).sides), reference)
         << name << " threads=" << threads;
   }
 }
@@ -311,14 +317,14 @@ INSTANTIATE_TEST_SUITE_P(Threads, MultilevelEngineIdentity,
                          ::testing::Values(1, 2, 8));
 
 TEST(MultilevelEngineIdentitySerial, ReferenceHashesAreStableAcrossRuns) {
-  // Same options, run twice: the engine is a pure function of
-  // (instance, options) — no hidden global state.
+  // Same plan, run twice: the engine is a pure function of
+  // (instance, plan) — no hidden global state.
   const Hypergraph h = golden_instance("grid9x9");
-  ml::EngineOptions options;
-  options.coarsening.coarsest_size = 30;
-  options.seed = 23;
-  const ml::MultilevelResult a = ml::multilevel_partition(h, options);
-  const ml::MultilevelResult b = ml::multilevel_partition(h, options);
+  ml::PartitionPlan plan = multilevel_plan();
+  plan.coarsening.coarsest_size = 30;
+  plan.algorithm1.seed = 23;
+  const ml::EngineResult a = ml::partition_auto(h, plan);
+  const ml::EngineResult b = ml::partition_auto(h, plan);
   EXPECT_EQ(a.sides, b.sides);
   EXPECT_EQ(a.metrics.cut_weight, b.metrics.cut_weight);
   EXPECT_EQ(a.refine_improvement, b.refine_improvement);
@@ -361,6 +367,57 @@ TEST(PartitionAuto, ExplicitEngineChoiceOverridesSize) {
   forced_flat.multilevel_threshold = 1;  // would route to multilevel on auto
   EXPECT_EQ(ml::partition_auto(h, forced_flat).engine_used,
             ml::EngineChoice::kFlat);
+}
+
+TEST(PartitionAuto, CutProvenanceAddsUpOnBothEnginesForEveryRefiner) {
+  // Algorithm I's cut less what refinement removed is the returned cut:
+  // after the flat path's flow post-pass, and through every V-cycle level
+  // (projection carries the cut weight unchanged).
+  std::vector<Hypergraph> instances;
+  for (const char* name : kGoldenInstances) {
+    instances.push_back(golden_instance(name));
+  }
+  instances.push_back(generate_circuit(
+      table2_params(900, 1290, Technology::kStandardCell), 3));
+  Weight improved[2] = {0, 0};
+  for (const Hypergraph& h : instances) {
+    for (const ml::EngineChoice engine :
+         {ml::EngineChoice::kFlat, ml::EngineChoice::kMultilevel}) {
+      for (const ml::RefinerChoice refiner :
+           {ml::RefinerChoice::kFm, ml::RefinerChoice::kFlow,
+            ml::RefinerChoice::kFlowFm}) {
+        SCOPED_TRACE(std::string(ml::to_string(engine)) + " " +
+                     ml::to_string(refiner) + " n=" +
+                     std::to_string(h.num_vertices()));
+        ml::PartitionPlan plan;
+        plan.engine = engine;
+        plan.refiner = refiner;
+        plan.coarsening.coarsest_size = 30;  // the golden instances coarsen
+        const ml::EngineResult r = ml::partition_auto(h, plan);
+        EXPECT_EQ(r.engine_used, engine);
+        EXPECT_GE(r.refine_improvement, 0);
+        EXPECT_EQ(r.initial_cut_weight - r.refine_improvement,
+                  r.metrics.cut_weight);
+        EXPECT_EQ(r.metrics.cut_weight, cut_weight_of(h, r.sides));
+        const bool multilevel = engine == ml::EngineChoice::kMultilevel;
+        if (multilevel) {
+          EXPECT_GE(r.levels, 1);
+          EXPECT_LT(r.coarsest_vertices, h.num_vertices());
+        } else {
+          EXPECT_EQ(r.levels, 0);
+          EXPECT_EQ(r.coarsest_vertices, h.num_vertices());
+          if (refiner == ml::RefinerChoice::kFm) {
+            EXPECT_EQ(r.refine_improvement, 0);  // no flat post-pass
+          }
+        }
+        improved[multilevel ? 1 : 0] += r.refine_improvement;
+      }
+    }
+  }
+  // Refinement removed cut weight on both engines, so the identity was
+  // checked with nonzero terms.
+  EXPECT_GT(improved[0], 0);
+  EXPECT_GT(improved[1], 0);
 }
 
 TEST(PartitionAuto, EngineNamesAreStable) {

@@ -345,26 +345,60 @@ TEST(ServeSchedulerRun, ComputesCachesAndServesHits) {
   serve::SchedulerOptions options;
   options.threads = 2;
   serve::Scheduler scheduler(options);
-  const Hypergraph h = small_instance(1);
-  serve::RequestOptions request;
-  request.starts = 8;
+  // Large enough for the V-cycle to coarsen at least one level.
+  PlantedParams params;
+  params.num_vertices = 400;
+  params.num_edges = 600;
+  params.planted_cut = 4;
+  const Hypergraph h = planted_instance(params, 1).hypergraph;
+  serve::RequestOptions flat;
+  flat.starts = 8;
+  serve::RequestOptions multilevel = flat;
+  multilevel.engine = ml::EngineChoice::kMultilevel;
+  multilevel.refiner = ml::RefinerChoice::kFlowFm;
 
-  Hypergraph first = h;
-  const serve::ScheduleResult cold =
-      scheduler.partition(std::move(first), request);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_FALSE(cold.cached);
-  Hypergraph second = h;
-  const serve::ScheduleResult hot =
-      scheduler.partition(std::move(second), request);
-  ASSERT_TRUE(hot.ok());
-  EXPECT_TRUE(hot.cached);
-  EXPECT_EQ(hot.sides, cold.sides);
-  EXPECT_EQ(hot.metrics.cut_weight, cold.metrics.cut_weight);
+  for (const serve::RequestOptions& request : {flat, multilevel}) {
+    SCOPED_TRACE(ml::to_string(request.engine));
+    Hypergraph first = h;
+    const serve::ScheduleResult cold =
+        scheduler.partition(std::move(first), request);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_FALSE(cold.cached);
+    // The computed answer is partition_auto's, diagnostics included.
+    const ml::EngineResult direct = ml::partition_auto(
+        h, serve::make_plan(request, {request.starts, false}));
+    EXPECT_EQ(cold.engine.sides, direct.sides);
+    EXPECT_EQ(cold.engine.initial_cut_weight, direct.initial_cut_weight);
+    EXPECT_EQ(cold.engine.refine_improvement, direct.refine_improvement);
+    EXPECT_EQ(cold.engine.initial_cut_weight - cold.engine.refine_improvement,
+              cold.engine.metrics.cut_weight);
+    if (request.engine == ml::EngineChoice::kMultilevel) {
+      // The V-cycle coarsened and refined: the diagnostics are nonzero.
+      EXPECT_GE(cold.engine.levels, 1);
+      EXPECT_GT(cold.engine.refine_improvement, 0);
+    }
+
+    Hypergraph second = h;
+    const serve::ScheduleResult hot =
+        scheduler.partition(std::move(second), request);
+    ASSERT_TRUE(hot.ok());
+    EXPECT_TRUE(hot.cached);
+    // The cached answer carries every EngineResult field of the cold one.
+    EXPECT_EQ(hot.engine.sides, cold.engine.sides);
+    EXPECT_EQ(hot.engine.metrics.cut_weight, cold.engine.metrics.cut_weight);
+    EXPECT_EQ(hot.engine.metrics.cut_edges, cold.engine.metrics.cut_edges);
+    EXPECT_EQ(hot.engine.metrics.weight_imbalance,
+              cold.engine.metrics.weight_imbalance);
+    EXPECT_EQ(hot.engine.engine_used, cold.engine.engine_used);
+    EXPECT_EQ(hot.engine.levels, cold.engine.levels);
+    EXPECT_EQ(hot.engine.coarsest_vertices, cold.engine.coarsest_vertices);
+    EXPECT_EQ(hot.engine.initial_cut_weight, cold.engine.initial_cut_weight);
+    EXPECT_EQ(hot.engine.refine_improvement, cold.engine.refine_improvement);
+  }
 
   const json::Value stats = json::parse(scheduler.stats_json());
-  EXPECT_DOUBLE_EQ(stats.find_path({"cache", "hits"})->as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(stats.find_path({"cache", "misses"})->as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(stats.find_path({"cache", "hits"})->as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(stats.find_path({"cache", "misses"})->as_number(), 2.0);
 }
 
 TEST(ServeSchedulerRun, QueueFullRejectsTyped) {
@@ -437,7 +471,7 @@ TEST(ServeSchedulerRun, SingleFlightCoalescesIdenticalRequests) {
   for (const serve::ScheduleResult& r : results) {
     ASSERT_TRUE(r.ok());
     if (!r.cached) ++computed;
-    EXPECT_EQ(r.sides, results[0].sides);
+    EXPECT_EQ(r.engine.sides, results[0].engine.sides);
   }
   EXPECT_EQ(computed, 1);
   const json::Value stats = json::parse(scheduler.stats_json());
@@ -497,7 +531,7 @@ TEST(ServeSchedulerRun, DeadlineRequestsBypassCacheAndDegrade) {
       scheduler.partition(std::move(second), request);
   ASSERT_TRUE(b.ok());
   EXPECT_FALSE(b.cached);
-  EXPECT_EQ(b.sides, a.sides);  // pure function of the request
+  EXPECT_EQ(b.engine.sides, a.engine.sides);  // pure function of the request
   const json::Value stats = json::parse(scheduler.stats_json());
   EXPECT_DOUBLE_EQ(stats.find_path({"cache", "misses"})->as_number(), 0.0);
   EXPECT_DOUBLE_EQ(stats.find_path({"requests", "degraded"})->as_number(),

@@ -98,7 +98,7 @@ VertexId grow_corridor(const Hypergraph& h,
 CorridorSolve solve_corridor(const Hypergraph& h,
                              const std::vector<std::uint8_t>& sides,
                              const std::vector<std::uint8_t>& in_corridor) {
-  FHP_REQUIRE(sides.size() == h.num_vertices(), "one side per module");
+  require_sides(h, sides);
   FHP_REQUIRE(in_corridor.size() == h.num_vertices(),
               "one corridor flag per module");
   CorridorSolve result;
@@ -202,6 +202,7 @@ Weight FlowRefiner::refine(const Hypergraph& h,
                            deterministic — corridor growth, gadget build
                            and Dinic all iterate in fixed CSR order*/) {
   FHP_TRACE_SCOPE("flow_refine");
+  require_sides(h, sides);
   if (h.num_vertices() < options_.min_vertices || h.num_edges() == 0) {
     return 0;
   }

@@ -99,6 +99,8 @@ class FlowRefiner {
 
   /// Refines \p sides (one 0/1 entry per vertex of \p h) in place and
   /// returns the cut weight removed (>= 0; never worsens the partition).
+  /// A \p sides of the wrong size or holding a value outside {0, 1}
+  /// throws PreconditionError before anything reads it.
   [[nodiscard]] Weight refine(const Hypergraph& h,
                               std::vector<std::uint8_t>& sides,
                               std::uint64_t seed);

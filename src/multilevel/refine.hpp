@@ -18,20 +18,18 @@ struct FmRefinerOptions {
 };
 
 /// Levels with at most this many vertices run classic whole-instance FM;
-/// larger levels restrict passes to the cut frontier (pins of cut nets
-/// plus one hop), locking the interior via FmOptions::fixed and
-/// recomputing the frontier between rounds, which drops per-pass cost
-/// from O(n * degree) to O(pins + frontier * degree). Projection carries
-/// the cut weight through unchanged, so deep refinement at the (cheap)
-/// coarse levels does the heavy lifting and the expensive fine levels only
-/// polish the frontier — the quality of full FM at a fraction of its cost
-/// (docs/multilevel.md, bench_multilevel). Both modes use the classic FM
-/// balance tolerance (FmOptions::max_weight_imbalance = 0).
+/// larger levels run rounds restricted to the cut frontier (pins of cut
+/// nets plus one hop, the interior fixed), recomputing the frontier
+/// between rounds and stopping at the first round that does not lower the
+/// cut. Projection carries the cut weight through unchanged, so deep
+/// refinement at the (cheap) coarse levels does the heavy lifting and the
+/// fine levels polish the frontier (docs/multilevel.md, bench_multilevel).
+/// Both modes use the classic FM balance tolerance.
 inline constexpr VertexId kFullFmThreshold = 1024;
 
-/// Fiduccia–Mattheyses per-level refinement (baselines/fm.hpp): seeds FM
-/// with the projected partition and keeps the result only when it is no
-/// worse than the input.
+/// Fiduccia–Mattheyses per-level refinement on one FmCore
+/// (baselines/fm.hpp), built once per refine() call over the projected
+/// partition.
 class FmRefiner {
  public:
   explicit FmRefiner(const FmRefinerOptions& options = {})
@@ -39,7 +37,9 @@ class FmRefiner {
 
   /// Refines \p sides (one 0/1 entry per vertex of \p h) in place and
   /// returns the cut weight removed (>= 0; never worsens the partition).
-  /// Equal (instance, options, seed) calls are bit-identical.
+  /// A \p sides of the wrong size or holding a value outside {0, 1}
+  /// throws PreconditionError. FM is deterministic given its start, so
+  /// \p seed does not change the answer.
   [[nodiscard]] Weight refine(const Hypergraph& h,
                               std::vector<std::uint8_t>& sides,
                               std::uint64_t seed);

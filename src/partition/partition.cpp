@@ -7,11 +7,7 @@ Bipartition::Bipartition(const Hypergraph& h)
 
 Bipartition::Bipartition(const Hypergraph& h, std::vector<std::uint8_t> sides)
     : h_(&h), sides_(std::move(sides)) {
-  FHP_REQUIRE(sides_.size() == h.num_vertices(),
-              "one side per module expected");
-  for (std::uint8_t s : sides_) {
-    FHP_REQUIRE(s == 0 || s == 1, "sides must be 0 or 1");
-  }
+  require_sides(h, sides_);
   rebuild();
 }
 
@@ -84,7 +80,16 @@ void Bipartition::validate() const {
   }
 }
 
+void require_sides(const Hypergraph& h, std::span<const std::uint8_t> sides) {
+  FHP_REQUIRE(sides.size() == h.num_vertices(),
+              "one side per module expected");
+  for (std::uint8_t s : sides) {
+    FHP_REQUIRE(s == 0 || s == 1, "sides must be 0 or 1");
+  }
+}
+
 Weight cut_weight_of(const Hypergraph& h, std::span<const std::uint8_t> sides) {
+  require_sides(h, sides);
   Weight cut = 0;
   for (EdgeId e = 0; e < h.num_edges(); ++e) {
     bool on[2] = {false, false};

@@ -113,8 +113,14 @@ class Bipartition {
   Weight cut_weight_ = 0;
 };
 
+/// Throws PreconditionError unless \p sides holds exactly one 0/1 entry
+/// per module of \p h — the check every consumer of a caller's side
+/// vector makes before indexing per-side state with it.
+void require_sides(const Hypergraph& h, std::span<const std::uint8_t> sides);
+
 /// Total weight of the nets of \p h that \p sides (one 0/1 entry per
-/// module) cuts, computed without building a Bipartition.
+/// module; checked by require_sides()) cuts, computed without building a
+/// Bipartition.
 [[nodiscard]] Weight cut_weight_of(const Hypergraph& h,
                                    std::span<const std::uint8_t> sides);
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/fm.hpp"
 #include "core/algorithm1.hpp"
 #include "core/intersection.hpp"
 #include "gen/circuit.hpp"
@@ -14,9 +15,11 @@
 #include "gen/structured.hpp"
 #include "hypergraph/io.hpp"
 #include "multilevel/flow_refine.hpp"
+#include "multilevel/refine.hpp"
 #include "partition/partition.hpp"
 #include "util/rng.hpp"
 #include "validate/audit.hpp"
+#include "validate/reference.hpp"
 
 namespace fhp::validate {
 
@@ -151,6 +154,10 @@ std::string mutate_text(std::string text, Rng& rng) {
   return text;
 }
 
+/// Fork stream of the FM leg (any fixed id: fork() leaves the parent
+/// stream where it was).
+constexpr std::uint64_t kFmStream = 0x464d;
+
 /// Shared state of one run.
 struct Harness {
   const FuzzOptions& options;
@@ -180,44 +187,104 @@ struct Harness {
       }
       ++stats.partitioned;
       flow_refine_checks(h, result.sides, rng);
+      fm_refine_checks(h, result.sides, rng.fork(kFmStream));
     } catch (const std::exception& ex) {
       fail(std::string("algorithm1 raised on a well-formed instance: ") +
            ex.what());
     }
   }
 
+  /// A refiner's contract on one refined partition: the cut never grows,
+  /// the claimed \p improvement is exactly the cut delta, and \p sides
+  /// still audit clean. Records a failure naming \p who otherwise.
+  bool refinement_contract_holds(const char* who, const Hypergraph& h,
+                                 Weight before,
+                                 const std::vector<std::uint8_t>& sides,
+                                 Weight improvement) {
+    const Weight after = cut_weight_of(h, sides);
+    if (after > before || improvement != before - after) {
+      std::ostringstream os;
+      os << who << " broke its cut contract: before " << before << ", after "
+         << after << ", claimed improvement " << improvement;
+      fail(os.str());
+      return false;
+    }
+    const AuditReport report = audit_partition(h, sides);
+    if (!report.ok()) {
+      fail(std::string(who) + " result failed audit: " + report.to_string());
+      return false;
+    }
+    return true;
+  }
+
   /// The corridor-flow leg of the partition stage: refine the audited
-  /// Algorithm I result and hold the refiner to its contract — the cut
-  /// never grows, the reported improvement is exactly the cut delta, and
-  /// the refined assignment still audits clean.
+  /// Algorithm I result and hold the refiner to its contract.
   void flow_refine_checks(const Hypergraph& h,
                           const std::vector<std::uint8_t>& start, Rng& rng) {
     std::vector<std::uint8_t> sides = start;
     try {
-      const Weight before = Bipartition(h, sides).cut_weight();
+      const Weight before = cut_weight_of(h, sides);
       ml::FlowRefiner refiner;
       const Weight improvement = refiner.refine(h, sides, rng());
-      const Weight after = Bipartition(h, sides).cut_weight();
-      if (improvement < 0) {
-        fail("flow refiner reported negative improvement");
-        return;
+      if (refinement_contract_holds("flow refiner", h, before, sides,
+                                    improvement)) {
+        ++stats.flow_refined;
       }
-      if (after > before || improvement != before - after) {
-        std::ostringstream os;
-        os << "flow refiner broke its cut contract: before " << before
-           << ", after " << after << ", claimed improvement " << improvement;
-        fail(os.str());
-        return;
-      }
-      const AuditReport report = audit_partition(h, sides);
-      if (!report.ok()) {
-        fail("flow-refined partition failed audit: " + report.to_string());
-        return;
-      }
-      ++stats.flow_refined;
     } catch (const std::exception& ex) {
       fail(std::string("flow refiner raised on a well-formed instance: ") +
            ex.what());
+    }
+  }
+
+  /// The FM leg of the partition stage: refine the audited Algorithm I
+  /// result with ml::FmRefiner, and run FmCore from it with a random fixed
+  /// mask. Both must hold the refiner contract and match the
+  /// rebuild-per-pass reference FM (validate/reference.hpp) bit for bit.
+  /// \p rng is a fork, so this leg leaves the other channels' draws
+  /// unchanged.
+  void fm_refine_checks(const Hypergraph& h,
+                        const std::vector<std::uint8_t>& start, Rng rng) {
+    try {
+      const Weight before = cut_weight_of(h, start);
+      std::vector<std::uint8_t> sides = start;
+      const Weight improvement = ml::FmRefiner().refine(h, sides, rng());
+      if (!refinement_contract_holds("fm refiner", h, before, sides,
+                                     improvement)) {
+        return;
+      }
+      std::vector<std::uint8_t> want = start;
+      const Weight want_improvement = fm_refine_reference(
+          h, want, ml::FmRefinerOptions{}.max_passes);
+      if (sides != want || improvement != want_improvement) {
+        fail("fm refiner differs from the reference FM");
+        return;
+      }
+
+      std::vector<std::uint8_t> fixed(h.num_vertices());
+      for (auto& f : fixed) f = rng.next_bool(0.3) ? 1 : 0;
+      FmOptions fm_options;
+      fm_options.initial = start;
+      FmCore fm(h, start);
+      const int passes = fm.run(0, fm_options.max_passes, fixed);
+      const Bipartition& p = fm.partition();
+      if (!refinement_contract_holds("fixed-mask fm", h, before, p.sides(),
+                                     before - p.cut_weight())) {
+        return;
+      }
+      for (VertexId v = 0; v < h.num_vertices(); ++v) {
+        if (fixed[v] != 0 && p.side(v) != start[v]) {
+          fail("fixed-mask fm moved a fixed module");
+          return;
+        }
+      }
+      const BaselineResult reference = fm_reference(h, fm_options, fixed);
+      if (p.sides() != reference.sides || passes != reference.iterations) {
+        fail("fixed-mask fm differs from the reference FM");
+        return;
+      }
+      ++stats.fm_refined;
+    } catch (const std::exception& ex) {
+      fail(std::string("fm raised on a well-formed instance: ") + ex.what());
     }
   }
 
@@ -411,7 +478,8 @@ std::string FuzzStats::to_string() const {
   std::ostringstream os;
   os << instances << " instances, " << mutated << " mutated, " << parsed
      << " parsed, " << rejected << " rejected, " << partitioned
-     << " partitioned, " << flow_refined << " flow-refined, " << round_trips
+     << " partitioned, " << flow_refined << " flow-refined, " << fm_refined
+     << " fm-refined, " << round_trips
      << " round-trips, " << failures.size() << " failures";
   for (const FuzzFailure& f : failures) {
     os << "\n  [" << f.generator << " #" << f.instance << "] " << f.what;

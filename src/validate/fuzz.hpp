@@ -13,7 +13,12 @@
 ///     Algorithm I, whose output is audited (audit_algorithm1: legality,
 ///     recomputed-cut cross-check, completion dominance) and whose
 ///     intersection graph is differentially checked against the
-///     intersection_graph_reference() oracle.
+///     intersection_graph_reference() oracle. The audited partition is
+///     then refined by corridor flow and by FM (ml::FmRefiner, and FmCore
+///     under a random fixed mask); each refinement must never worsen the
+///     cut, report exactly the cut it removed and audit clean, and the FM
+///     runs must match the reference FM (validate/reference.hpp) bit for
+///     bit.
 ///  2. **named netlist text**: the same serialize/mutate/parse/audit loop
 ///     through write_netlist/read_netlist, with a fixed-point check
 ///     (write . read idempotent) instead of byte equality — the named
@@ -70,6 +75,9 @@ struct FuzzStats {
   std::size_t rejected = 0;     ///< typed IoError rejections (expected)
   std::size_t partitioned = 0;  ///< instances driven through Algorithm I
   std::size_t flow_refined = 0;  ///< partitions driven through FlowRefiner
+  /// Partitions driven through FmRefiner and a fixed-mask FmCore run, each
+  /// matched against the reference FM.
+  std::size_t fm_refined = 0;
   std::size_t round_trips = 0;  ///< byte-identical / fixed-point re-reads
   std::vector<FuzzFailure> failures;
 

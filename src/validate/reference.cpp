@@ -1,9 +1,15 @@
 #include "validate/reference.hpp"
 
+#include <algorithm>
 #include <numeric>
+#include <queue>
 #include <utility>
 #include <vector>
 
+#include "multilevel/refine.hpp"
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
+#include "partition/partition.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -46,6 +52,176 @@ std::vector<VertexId> algorithm1_starts(const Algorithm1Context& context,
   return starts;
 }
 
+/// Lazy max-heap entry: (gain, vertex). Entries go stale when the vertex
+/// moves, locks, or its gain changes; staleness is detected at pop time
+/// against the authoritative gain/lock arrays.
+using HeapEntry = std::pair<Weight, VertexId>;
+using GainHeap = std::priority_queue<HeapEntry>;
+
+class FmPass {
+ public:
+  FmPass(Bipartition& p, Weight tolerance, int& moves_budget,
+         std::span<const std::uint8_t> fixed)
+      : p_(p),
+        tolerance_(tolerance),
+        moves_budget_(moves_budget),
+        fixed_(fixed) {}
+
+  /// Runs one pass; returns true if the cut (or, at equal cut, the weight
+  /// imbalance) improved.
+  bool run() {
+    const Hypergraph& h = p_.hypergraph();
+    const VertexId n = h.num_vertices();
+    if (fixed_.empty()) {
+      locked_.assign(n, 0);
+    } else {
+      locked_.assign(fixed_.begin(), fixed_.end());  // fixed stay locked
+    }
+    gain_.resize(n);
+    heap_[0] = GainHeap();
+    heap_[1] = GainHeap();
+    for (VertexId v = 0; v < n; ++v) {
+      if (locked_[v]) continue;
+      gain_[v] = p_.move_gain(v);
+      heap_[p_.side(v)].emplace(gain_[v], v);
+    }
+
+    const Weight start_cut = p_.cut_weight();
+    const Weight start_imbalance = p_.weight_imbalance();
+    Weight best_cut = start_cut;
+    Weight best_imbalance = start_imbalance;
+    std::size_t best_prefix = 0;
+    std::vector<VertexId> moves;
+
+    while (moves_budget_ > 0) {
+      const VertexId v = pick_move();
+      if (v == kInvalidVertex) break;
+      --moves_budget_;
+      apply_move(v);
+      moves.push_back(v);
+      const Weight cut = p_.cut_weight();
+      const Weight imbalance = p_.weight_imbalance();
+      if (cut < best_cut || (cut == best_cut && imbalance < best_imbalance)) {
+        best_cut = cut;
+        best_imbalance = imbalance;
+        best_prefix = moves.size();
+      }
+    }
+
+    FHP_COUNTER_ADD("fm/moves", static_cast<long long>(moves.size()));
+    FHP_COUNTER_ADD("fm/moves_rolled_back",
+                    static_cast<long long>(moves.size() - best_prefix));
+
+    // Roll back to the best prefix.
+    while (moves.size() > best_prefix) {
+      p_.flip(moves.back());
+      moves.pop_back();
+    }
+    return best_cut < start_cut ||
+           (best_cut == start_cut && best_imbalance < start_imbalance &&
+            best_prefix > 0);
+  }
+
+ private:
+  /// True iff moving \p v keeps the partition within tolerance.
+  [[nodiscard]] bool legal(VertexId v) const {
+    const Hypergraph& h = p_.hypergraph();
+    const std::uint8_t s = p_.side(v);
+    const Weight w = h.vertex_weight(v);
+    const Weight from = p_.weight(s) - w;
+    const Weight to = p_.weight(static_cast<std::uint8_t>(1 - s)) + w;
+    return std::max(from, to) - std::min(from, to) <= tolerance_;
+  }
+
+  /// Highest-gain unlocked legal move across both side heaps.
+  VertexId pick_move() {
+    HeapEntry best{0, kInvalidVertex};
+    bool have = false;
+    std::vector<HeapEntry> stash;
+    for (int s = 0; s < 2; ++s) {
+      GainHeap& heap = heap_[s];
+      stash.clear();
+      while (!heap.empty()) {
+        const HeapEntry top = heap.top();
+        const VertexId v = top.second;
+        if (locked_[v] || p_.side(v) != s || gain_[v] != top.first) {
+          heap.pop();  // stale
+          continue;
+        }
+        if (!legal(v)) {
+          stash.push_back(top);  // valid but currently illegal: keep
+          heap.pop();
+          continue;
+        }
+        if (!have || top.first > best.first) {
+          best = top;
+          have = true;
+        }
+        break;
+      }
+      for (const HeapEntry& entry : stash) heap.push(entry);
+    }
+    return have ? best.second : kInvalidVertex;
+  }
+
+  /// Executes the move and refreshes gains of affected unlocked pins.
+  void apply_move(VertexId v) {
+    const Hypergraph& h = p_.hypergraph();
+    locked_[v] = 1;
+    p_.flip(v);
+    for (EdgeId e : h.nets_of(v)) {
+      for (VertexId u : h.pins(e)) {
+        if (locked_[u]) continue;
+        const Weight g = p_.move_gain(u);
+        if (g != gain_[u]) {
+          gain_[u] = g;
+          heap_[p_.side(u)].emplace(g, u);
+        }
+      }
+    }
+  }
+
+  Bipartition& p_;
+  Weight tolerance_;
+  int& moves_budget_;
+  std::span<const std::uint8_t> fixed_;
+  std::vector<std::uint8_t> locked_;
+  std::vector<Weight> gain_;
+  GainHeap heap_[2];
+};
+
+/// Marks the cut frontier free (0) and the interior fixed (1): every pin
+/// of every cut net, expanded by one hop. Returns false when no net is cut.
+bool boundary_mask(const Hypergraph& h, std::span<const std::uint8_t> sides,
+                   std::vector<std::uint8_t>& fixed,
+                   std::vector<VertexId>& frontier) {
+  fixed.assign(h.num_vertices(), 1);
+  frontier.clear();
+  for (EdgeId e = 0; e < h.num_edges(); ++e) {
+    const std::span<const VertexId> pins = h.pins(e);
+    bool on[2] = {false, false};
+    for (VertexId v : pins) {
+      on[sides[v]] = true;
+      if (on[0] && on[1]) break;
+    }
+    if (on[0] && on[1]) {
+      for (VertexId v : pins) {
+        if (fixed[v]) {
+          fixed[v] = 0;
+          frontier.push_back(v);
+        }
+      }
+    }
+  }
+  if (frontier.empty()) return false;
+  for (const VertexId v : frontier) {
+    for (EdgeId e : h.nets_of(v)) {
+      for (VertexId u : h.pins(e)) fixed[u] = 0;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Algorithm1Result per_start_reference(const Algorithm1Context& context,
@@ -78,6 +254,81 @@ Algorithm1Result unpermuted_reference(const Algorithm1Context& context,
                 have_best);
   }
   return best;
+}
+
+BaselineResult fm_reference(const Hypergraph& h, const FmOptions& options,
+                            std::span<const std::uint8_t> fixed) {
+  FHP_TRACE_SCOPE("fm");
+  FHP_COUNTER_ADD("fm/runs", 1);
+  FHP_REQUIRE(options.max_passes >= 1, "need at least one pass");
+  if (is_degenerate_instance(h)) return trivial_baseline_result(h);
+
+  std::vector<std::uint8_t> sides;
+  if (options.initial.has_value()) {
+    sides = *options.initial;
+    FHP_REQUIRE(sides.size() == h.num_vertices(),
+                "initial partition must cover every module");
+  } else {
+    sides = random_bisection(h, options.seed).sides;
+  }
+  Bipartition p(h, std::move(sides));
+
+  Weight tolerance = options.max_weight_imbalance;
+  if (tolerance <= 0) {
+    Weight max_w = 1;
+    for (VertexId v = 0; v < h.num_vertices(); ++v) {
+      max_w = std::max(max_w, h.vertex_weight(v));
+    }
+    tolerance = 2 * max_w;
+  }
+  tolerance = std::max(tolerance, p.weight_imbalance());
+
+  BaselineResult result;
+  int moves_budget =
+      options.max_passes * static_cast<int>(h.num_vertices()) * 2;
+  FHP_REQUIRE(fixed.empty() || fixed.size() == h.num_vertices(),
+              "fixed mask must be empty or cover every module");
+  int passes = 0;
+  for (; passes < options.max_passes; ++passes) {
+    FmPass pass(p, tolerance, moves_budget, fixed);
+    if (!pass.run()) break;
+  }
+  FHP_COUNTER_ADD("fm/passes", passes);
+  result.sides = p.sides();
+  result.metrics = compute_metrics(p);
+  result.iterations = passes;
+  return result;
+}
+
+Weight fm_refine_reference(const Hypergraph& h,
+                           std::vector<std::uint8_t>& sides, int max_passes) {
+  if (h.num_vertices() < 2 || max_passes <= 0) return 0;
+  const Weight before = cut_weight_of(h, sides);
+
+  if (h.num_vertices() <= ml::kFullFmThreshold) {
+    FmOptions fm;
+    fm.max_passes = max_passes;
+    fm.initial = sides;
+    BaselineResult result = fm_reference(h, fm);
+    if (result.metrics.cut_weight > before) return 0;
+    sides = std::move(result.sides);
+    return before - result.metrics.cut_weight;
+  }
+
+  Weight current = before;
+  std::vector<std::uint8_t> fixed;
+  std::vector<VertexId> frontier;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    if (!boundary_mask(h, sides, fixed, frontier)) break;
+    FmOptions fm;
+    fm.max_passes = max_passes;
+    fm.initial = sides;
+    BaselineResult result = fm_reference(h, fm, fixed);
+    if (result.metrics.cut_weight >= current) break;  // frontier converged
+    current = result.metrics.cut_weight;
+    sides = std::move(result.sides);
+  }
+  return before - current;
 }
 
 }  // namespace fhp::validate

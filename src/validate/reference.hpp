@@ -1,5 +1,6 @@
 /// \file reference.hpp
-/// Reference compositions of Algorithm I's public per-start calls.
+/// Reference compositions of Algorithm I's public per-start calls, and the
+/// rebuild-per-pass Fiduccia–Mattheyses loop.
 ///
 /// algorithm1() completes each distinct pseudo-diameter pair once and runs
 /// its BFS steps on a locality-permuted intersection graph. Both are pure
@@ -7,8 +8,19 @@
 /// over the unpermuted graph elects. These references compute that answer
 /// the slow, obvious way, for the identity tests and bench_hotpath to
 /// compare against.
+///
+/// FmCore (baselines/fm.hpp) keeps its pin counts across passes, changes
+/// gains by deltas and skips sides with no legal move; fm_reference() is
+/// the straightforward loop it must agree with move for move: every pass
+/// rebuilds its gains, every move re-derives each neighbor's gain from
+/// scratch, and every pick pops and re-pushes the illegal heap entries.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "baselines/fm.hpp"
 #include "core/algorithm1.hpp"
 
 namespace fhp::validate {
@@ -27,5 +39,23 @@ namespace fhp::validate {
 /// the kCutsize objective and the bidirectional initial cut.
 [[nodiscard]] Algorithm1Result unpermuted_reference(
     const Algorithm1Context& context, const Algorithm1Options& options);
+
+/// Fiduccia–Mattheyses reference: fiduccia_mattheyses(h, options) with the
+/// modules \p fixed marks (nonzero; empty = none) locked, run on a fresh
+/// Bipartition per pass under a global budget of 2 * max_passes * n moves
+/// (which never binds: a pass moves each module at most once). Same sides,
+/// metrics, pass count and fm/* counters as FmCore::run().
+[[nodiscard]] BaselineResult fm_reference(
+    const Hypergraph& h, const FmOptions& options,
+    std::span<const std::uint8_t> fixed = {});
+
+/// ml::FmRefiner::refine() composed over fm_reference(): one whole-instance
+/// run up to ml::kFullFmThreshold modules; above it, rounds of one run each
+/// with every module off the cut frontier (pins of cut nets plus one hop)
+/// fixed, adopted while they lower the cut. Refines \p sides in place and
+/// returns the cut weight removed.
+[[nodiscard]] Weight fm_refine_reference(const Hypergraph& h,
+                                         std::vector<std::uint8_t>& sides,
+                                         int max_passes);
 
 }  // namespace fhp::validate

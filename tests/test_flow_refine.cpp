@@ -384,6 +384,16 @@ TEST(FlowRefine, TinyAndCutFreeInputsAreNoOps) {
   EXPECT_EQ(clean, copy);
 }
 
+TEST(FlowRefine, RejectsMalformedSides) {
+  // Checked at entry, before any per-side state is indexed with them.
+  const Hypergraph h = test::path_hypergraph(4);
+  ml::FlowRefiner refiner;
+  std::vector<std::uint8_t> too_short = {0, 1};
+  EXPECT_THROW((void)refiner.refine(h, too_short, 1), PreconditionError);
+  std::vector<std::uint8_t> bad_side = {0, 1, 7, 0};
+  EXPECT_THROW((void)refiner.refine(h, bad_side, 1), PreconditionError);
+}
+
 // ---------------------------------------------------------------------------
 // RefinerChoice plumbing
 

@@ -101,29 +101,30 @@ TEST(Fm, FixedModulesNeverMove) {
   std::vector<std::uint8_t> fixed(h.num_vertices(), 0);
   fixed[0] = 1;
   fixed[h.num_vertices() - 1] = 1;
-  FmOptions options;
-  options.initial = initial;
-  options.fixed = fixed;
-  const BaselineResult r = fiduccia_mattheyses(h, options);
-  EXPECT_EQ(r.sides[0], initial[0]);
-  EXPECT_EQ(r.sides[h.num_vertices() - 1], initial[h.num_vertices() - 1]);
+  FmCore fm(h, initial);
+  fm.run(0, FmOptions{}.max_passes, fixed);
+  EXPECT_EQ(fm.partition().side(0), initial[0]);
+  EXPECT_EQ(fm.partition().side(h.num_vertices() - 1),
+            initial[h.num_vertices() - 1]);
 }
 
 TEST(Fm, AllFixedIsIdentity) {
   const Hypergraph h = test::path_hypergraph(8);
   std::vector<std::uint8_t> initial{0, 1, 0, 1, 0, 1, 0, 1};
-  FmOptions options;
-  options.initial = initial;
-  options.fixed.assign(8, 1);
-  const BaselineResult r = fiduccia_mattheyses(h, options);
-  EXPECT_EQ(r.sides, initial);
+  FmCore fm(h, initial);
+  EXPECT_EQ(fm.run(0, FmOptions{}.max_passes,
+                   std::vector<std::uint8_t>(8, 1)),
+            0);
+  EXPECT_EQ(fm.partition().sides(), initial);
 }
 
 TEST(Fm, FixedMaskSizeChecked) {
   const Hypergraph h = test::path_hypergraph(4);
-  FmOptions options;
-  options.fixed = {1};
-  EXPECT_THROW((void)fiduccia_mattheyses(h, options), PreconditionError);
+  FmCore fm(h, random_bisection(h, 1).sides);
+  EXPECT_THROW(fm.run(0, 1, std::vector<std::uint8_t>{1}), PreconditionError);
+  // The core checks its sides the way Bipartition does.
+  EXPECT_THROW(FmCore(h, {0, 1}), PreconditionError);
+  EXPECT_THROW(FmCore(h, {0, 1, 7, 0}), PreconditionError);
 }
 
 TEST(Fm, ReportsPassCount) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "baselines/exact.hpp"
 #include "gen/circuit.hpp"
+#include "gen/grid.hpp"
+#include "gen/planted.hpp"
 #include "test_helpers.hpp"
 
 namespace fhp {
@@ -82,6 +88,74 @@ TEST(FlowBaseline, DeterministicPerSeed) {
   options.seed = 9;
   EXPECT_EQ(flow_bipartition(h, options).sides,
             flow_bipartition(h, options).sides);
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::uint8_t b : v) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+Hypergraph pinned_instance(const std::string& name) {
+  if (name == "circuit150") {
+    return generate_circuit(table2_params(150, 260, Technology::kStandardCell),
+                            7);
+  }
+  if (name == "planted120") {
+    PlantedParams p;
+    p.num_vertices = 120;
+    p.num_edges = 200;
+    p.planted_cut = 4;
+    p.min_edge_size = 2;
+    p.max_edge_size = 2;
+    p.max_degree = 0;
+    return planted_instance(p, 5).hypergraph;
+  }
+  if (name == "grid9x9") return grid_circuit({9, 9, 0.3, false}, 3);
+  EXPECT_EQ(name, "weighted90");
+  CircuitParams p;
+  p.num_modules = 90;
+  p.num_nets = 150;
+  p.weight_geometric_p = 0.4;
+  return generate_circuit(p, 13);
+}
+
+/// Sides hash and cut of flow_bipartition, captured before the max-flow
+/// solver was replaced. Every maximum flow leaves the same minimal minimum
+/// cut, so no max-flow algorithm may move these.
+struct FbbPin {
+  const char* instance;
+  int pairs;
+  double balance_fraction;
+  std::uint64_t sides_hash;
+  Weight cut;
+};
+
+constexpr FbbPin kFbbPins[] = {
+    {"circuit150", 8, 0.5, 0xe06bd5ed746ae53cULL, 6},
+    {"circuit150", 3, 0.2, 0x3534d769c376147cULL, 11},
+    {"planted120", 8, 0.5, 0xe6b72110efabb26dULL, 4},
+    {"grid9x9", 8, 0.5, 0xbe1cd906d821dd28ULL, 10},
+    {"weighted90", 8, 0.5, 0xa55445b282d3c7b7ULL, 6},
+    {"weighted90", 4, 1.0, 0x45f2cbd3cff7a5c5ULL, 1},
+};
+
+TEST(FlowBaseline, PinnedAnswers) {
+  for (const FbbPin& pin : kFbbPins) {
+    FlowOptions options;
+    options.pairs = pin.pairs;
+    options.balance_fraction = pin.balance_fraction;
+    const BaselineResult r =
+        flow_bipartition(pinned_instance(pin.instance), options);
+    EXPECT_EQ(fnv1a(r.sides), pin.sides_hash)
+        << pin.instance << " pairs " << pin.pairs << ": {0x" << std::hex
+        << fnv1a(r.sides) << std::dec << "ULL, " << r.metrics.cut_weight
+        << "}";
+    EXPECT_EQ(r.metrics.cut_weight, pin.cut) << pin.instance;
+  }
 }
 
 TEST(FlowBaseline, Preconditions) {

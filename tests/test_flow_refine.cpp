@@ -280,6 +280,64 @@ TEST(SolveCorridor, CapacityOverflowFailsTyped) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned answers. Sides hash, cut and refinement gain of the golden
+// instances under corridor flow, on the flat post-pass and on the V-cycle,
+// captured before the max-flow solver was replaced. Every maximum flow
+// leaves the same minimal minimum cut, so no max-flow algorithm may move
+// these; a change to the corridor, the gadget or the round loop that does
+// must re-pin them and say why.
+
+struct FlowPin {
+  const char* instance;
+  ml::EngineChoice engine;
+  ml::RefinerChoice refiner;
+  std::uint64_t sides_hash;
+  Weight cut;
+  Weight refine_improvement;
+};
+
+constexpr ml::EngineChoice kFlat = ml::EngineChoice::kFlat;
+constexpr ml::EngineChoice kVCycle = ml::EngineChoice::kMultilevel;
+constexpr ml::RefinerChoice kFlow = ml::RefinerChoice::kFlow;
+constexpr ml::RefinerChoice kFlowFm = ml::RefinerChoice::kFlowFm;
+
+constexpr FlowPin kFlowPins[] = {
+    {"circuit150", kFlat, kFlow, 0xf0cb219360bc38e5ULL, 15, 9},
+    {"circuit150", kFlat, kFlowFm, 0x69602f46887865b6ULL, 15, 9},
+    {"circuit150", kVCycle, kFlow, 0x270da3d57926fcabULL, 11, 6},
+    {"circuit150", kVCycle, kFlowFm, 0xb0f10be5274fcea1ULL, 11, 6},
+    {"planted120", kFlat, kFlow, 0x3226c69b1dffb955ULL, 4, 0},
+    {"planted120", kFlat, kFlowFm, 0x3226c69b1dffb955ULL, 4, 0},
+    {"planted120", kVCycle, kFlow, 0xe6b72110efabb26dULL, 4, 2},
+    {"planted120", kVCycle, kFlowFm, 0x81e0accc7fe42c89ULL, 4, 2},
+    {"grid9x9", kFlat, kFlow, 0x3c5798afca63ef77ULL, 12, 6},
+    {"grid9x9", kFlat, kFlowFm, 0xf34f016a25924ceeULL, 11, 7},
+    {"grid9x9", kVCycle, kFlow, 0xf154925e0780f62bULL, 10, 5},
+    {"grid9x9", kVCycle, kFlowFm, 0x3d2c044d9cf6490aULL, 10, 5},
+};
+
+TEST(FlowAnswerPins, GoldenInstancesKeepTheirAnswers) {
+  for (const FlowPin& pin : kFlowPins) {
+    ml::PartitionPlan plan;
+    plan.engine = pin.engine;
+    plan.refiner = pin.refiner;
+    plan.coarsening.coarsest_size = 30;
+    plan.coarse_num_starts = 8;
+    plan.algorithm1.seed = 11;
+    const ml::EngineResult r =
+        ml::partition_auto(golden_instance(pin.instance), plan);
+    EXPECT_EQ(r.engine_used, pin.engine);
+    EXPECT_EQ(fnv1a(r.sides), pin.sides_hash)
+        << pin.instance << " " << ml::to_string(pin.engine) << " "
+        << ml::to_string(pin.refiner) << ": {0x" << std::hex
+        << fnv1a(r.sides) << std::dec << "ULL, " << r.metrics.cut_weight
+        << ", " << r.refine_improvement << "}";
+    EXPECT_EQ(r.metrics.cut_weight, pin.cut) << pin.instance;
+    EXPECT_EQ(r.refine_improvement, pin.refine_improvement) << pin.instance;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // FlowRefiner: the refiner contract
 
 TEST(FlowRefine, RepairsAnAlternatingPathToTheOptimum) {

@@ -89,9 +89,9 @@ double median(std::vector<double> xs) {
 }
 
 /// Engine bit-identity across thread counts with corridor flow refining
-/// every level — the corridor BFS, gadget build and Dinic are all serial
-/// fixed-order code, so the engine's identity contract must be unchanged
-/// by the premium refiner.
+/// every level — the corridor BFS, gadget build and max-flow solve are all
+/// serial fixed-order code, so the engine's identity contract must be
+/// unchanged by the premium refiner.
 void check_thread_identity(const Hypergraph& h, const std::string& name) {
   print_header("bit-identity across thread counts: " + name + " (flow+fm)");
   ml::PartitionPlan plan;

@@ -157,6 +157,12 @@ BaselineResult flow_bipartition(const Hypergraph& h,
   FHP_REQUIRE(options.balance_fraction > 0.0 &&
                   options.balance_fraction <= 1.0,
               "balance fraction must be in (0, 1]");
+  // Every net is a finite arc of each solve's gadget, so their summed
+  // weight must stay below the uncuttable-arc capacity (graph/maxflow.hpp,
+  // "Arithmetic"), as solve_corridor() requires of its relevant nets.
+  FHP_REQUIRE(h.total_edge_weight() < FlowNetwork::kInfiniteCapacity,
+              "flow gadget capacity overflow: summed net weight reaches "
+              "the uncuttable-arc capacity");
   Rng rng(options.seed);
 
   const VertexId n = h.num_vertices();

@@ -199,8 +199,9 @@ CorridorSolve solve_corridor(const Hypergraph& h,
 Weight FlowRefiner::refine(const Hypergraph& h,
                            std::vector<std::uint8_t>& sides,
                            std::uint64_t /*seed: the refiner is fully
-                           deterministic — corridor growth, gadget build
-                           and Dinic all iterate in fixed CSR order*/) {
+                           deterministic — corridor growth and the gadget
+                           build iterate in fixed CSR order, and the min
+                           cut read is the unique minimal one*/) {
   FHP_TRACE_SCOPE("flow_refine");
   require_sides(h, sides);
   if (h.num_vertices() < options_.min_vertices || h.num_edges() == 0) {

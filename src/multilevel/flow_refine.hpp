@@ -7,8 +7,8 @@
 /// grow a BFS *corridor* of bounded vertex weight on each side, build the
 /// standard Lawler hyperedge gadget over the corridor with every
 /// corridor-external module contracted into a super-source/super-sink,
-/// solve the min s-t cut exactly (graph/maxflow.hpp, Dinic), and adopt
-/// the induced reassignment only when it lowers the cut weight while
+/// solve the min s-t cut exactly (graph/maxflow.hpp, push-relabel), and
+/// adopt the induced reassignment only when it lowers the cut weight while
 /// keeping the weight balance within tolerance (piggybacking on
 /// rebalance_bipartition for recovery when the flow solution is
 /// lopsided). Rounds repeat with an adaptive corridor budget — doubled
@@ -19,9 +19,11 @@
 /// escapes the move-at-a-time local minima FM sticks in; the corridor
 /// bound keeps each solve far cheaper than a whole-instance flow
 /// bipartition (baselines/flow.hpp). The refiner is deterministic — the
-/// corridor BFS, gadget construction and Dinic all iterate in fixed CSR
-/// order — so the engine's bit-identity contract across thread counts is
-/// preserved (refine() accepts a seed like FmRefiner and ignores it).
+/// corridor BFS and gadget construction iterate in fixed CSR order, and
+/// the candidate is the gadget's minimal minimum cut, which is one set for
+/// every maximum flow whatever solver finds it — so the engine's
+/// bit-identity contract across thread counts is preserved (refine()
+/// accepts a seed like FmRefiner and ignores it).
 #pragma once
 
 #include <cstdint>

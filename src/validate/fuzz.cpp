@@ -154,9 +154,10 @@ std::string mutate_text(std::string text, Rng& rng) {
   return text;
 }
 
-/// Fork stream of the FM leg (any fixed id: fork() leaves the parent
-/// stream where it was).
+/// Fork streams of the FM leg and of the corridor-solve check (any fixed
+/// ids: fork() leaves the parent stream where it was).
 constexpr std::uint64_t kFmStream = 0x464d;
+constexpr std::uint64_t kCorridorStream = 0x4353;
 
 /// Shared state of one run.
 struct Harness {
@@ -187,6 +188,7 @@ struct Harness {
       }
       ++stats.partitioned;
       flow_refine_checks(h, result.sides, rng);
+      corridor_solve_check(h, result.sides, rng.fork(kCorridorStream));
       fm_refine_checks(h, result.sides, rng.fork(kFmStream));
     } catch (const std::exception& ex) {
       fail(std::string("algorithm1 raised on a well-formed instance: ") +
@@ -232,6 +234,40 @@ struct Harness {
       }
     } catch (const std::exception& ex) {
       fail(std::string("flow refiner raised on a well-formed instance: ") +
+           ex.what());
+    }
+  }
+
+  /// One corridor solve over a random corridor of the audited Algorithm I
+  /// result (one exterior anchor kept per side), which must equal the
+  /// reference solve over the Dinic oracle field for field. \p rng is a
+  /// fork, so this check leaves the other channels' draws unchanged.
+  void corridor_solve_check(const Hypergraph& h,
+                            const std::vector<std::uint8_t>& start, Rng rng) {
+    try {
+      const VertexId n = h.num_vertices();
+      const double share = rng.next_double();
+      std::vector<std::uint8_t> in_corridor(n);
+      for (auto& c : in_corridor) c = rng.next_bool(share) ? 1 : 0;
+      for (std::uint8_t s = 0; s < 2; ++s) {
+        const auto it = std::find(start.begin(), start.end(), s);
+        if (it != start.end()) {
+          in_corridor[static_cast<std::size_t>(it - start.begin())] = 0;
+        }
+      }
+      const ml::CorridorSolve got = ml::solve_corridor(h, start, in_corridor);
+      const ml::CorridorSolve want =
+          solve_corridor_reference(h, start, in_corridor);
+      if (got.solved != want.solved || got.sides != want.sides ||
+          got.cut_weight != want.cut_weight ||
+          got.flow_value != want.flow_value ||
+          got.gadget_arcs != want.gadget_arcs) {
+        fail("corridor solve differs from the Dinic reference");
+        return;
+      }
+      ++stats.corridor_solves;
+    } catch (const std::exception& ex) {
+      fail(std::string("corridor solve raised on a well-formed instance: ") +
            ex.what());
     }
   }
@@ -478,7 +514,8 @@ std::string FuzzStats::to_string() const {
   std::ostringstream os;
   os << instances << " instances, " << mutated << " mutated, " << parsed
      << " parsed, " << rejected << " rejected, " << partitioned
-     << " partitioned, " << flow_refined << " flow-refined, " << fm_refined
+     << " partitioned, " << flow_refined << " flow-refined, "
+     << corridor_solves << " corridor solves matched, " << fm_refined
      << " fm-refined, " << round_trips
      << " round-trips, " << failures.size() << " failures";
   for (const FuzzFailure& f : failures) {

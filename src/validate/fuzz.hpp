@@ -18,7 +18,8 @@
 ///     under a random fixed mask); each refinement must never worsen the
 ///     cut, report exactly the cut it removed and audit clean, and the FM
 ///     runs must match the reference FM (validate/reference.hpp) bit for
-///     bit.
+///     bit. One corridor solve over a random corridor of that partition
+///     must match the solve over the Dinic oracle field for field.
 ///  2. **named netlist text**: the same serialize/mutate/parse/audit loop
 ///     through write_netlist/read_netlist, with a fixed-point check
 ///     (write . read idempotent) instead of byte equality — the named
@@ -75,6 +76,8 @@ struct FuzzStats {
   std::size_t rejected = 0;     ///< typed IoError rejections (expected)
   std::size_t partitioned = 0;  ///< instances driven through Algorithm I
   std::size_t flow_refined = 0;  ///< partitions driven through FlowRefiner
+  /// Random-corridor solves matched against the Dinic reference solve.
+  std::size_t corridor_solves = 0;
   /// Partitions driven through FmRefiner and a fixed-mask FmCore run, each
   /// matched against the reference FM.
   std::size_t fm_refined = 0;

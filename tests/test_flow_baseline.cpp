@@ -158,6 +158,30 @@ TEST(FlowBaseline, PinnedAnswers) {
   }
 }
 
+TEST(FlowBaseline, DeepChainDoesNotOverflowTheStack) {
+  // One terminal pair at the ends of a 50,000-module chain: the gadget is
+  // a path ~150,000 nodes long.
+  const Hypergraph h = test::path_hypergraph(50'000);
+  FlowOptions options;
+  options.pairs = 1;
+  options.balance_fraction = 1.0;
+  const BaselineResult r = flow_bipartition(h, options);
+  EXPECT_TRUE(r.metrics.proper);
+  EXPECT_EQ(r.metrics.cut_weight, 1);
+}
+
+TEST(FlowBaseline, NetWeightsSummingPastTheCapacityFailTyped) {
+  // Each net is below the uncuttable capacity; together they pass it.
+  constexpr Weight kHeavy = (Weight{1} << 59) + 1;
+  HypergraphBuilder b;
+  b.add_vertices(4);
+  b.add_edge({0, 1}, kHeavy);
+  b.add_edge({1, 2}, kHeavy);
+  b.add_edge({2, 3}, 1);
+  const Hypergraph h = std::move(b).build();
+  EXPECT_THROW((void)flow_bipartition(h), PreconditionError);
+}
+
 TEST(FlowBaseline, Preconditions) {
   HypergraphBuilder b;
   b.add_vertex();

@@ -222,6 +222,28 @@ TEST(SolveCorridor, DegenerateCorridorsReturnUnsolved) {
   EXPECT_EQ(solve.sides, sides);
 }
 
+TEST(SolveCorridor, DeepChainGadgetDoesNotOverflowTheStack) {
+  // A 50,000-module two-pin chain with every module but the two end
+  // anchors in the corridor: the gadget is ~150,000 levels deep, more
+  // than a solver recursing once per level has stack for.
+  constexpr VertexId kModules = 50'000;
+  const Hypergraph h = test::path_hypergraph(kModules);
+  std::vector<std::uint8_t> sides(kModules, 0);
+  for (VertexId v = kModules / 2; v < kModules; ++v) sides[v] = 1;
+  std::vector<std::uint8_t> in_corridor(kModules, 1);
+  in_corridor.front() = 0;
+  in_corridor.back() = 0;
+  const ml::CorridorSolve solve = ml::solve_corridor(h, sides, in_corridor);
+  ASSERT_TRUE(solve.solved);
+  EXPECT_EQ(solve.flow_value, 1);
+  EXPECT_EQ(solve.cut_weight, 1);
+  // The minimal minimum cut keeps only the side-0 anchor on the source
+  // side: the chain's first net is cut.
+  std::vector<std::uint8_t> want(kModules, 1);
+  want.front() = 0;
+  EXPECT_EQ(solve.sides, want);
+}
+
 TEST(SolveCorridor, CapacityOverflowFailsTyped) {
   // One net's weight alone reaches kInfiniteCapacity: must throw, never
   // saturate past the uncuttable arcs.
@@ -507,6 +529,18 @@ TEST(FlowRefineEngine, EngineRunsWithEveryRefinerChoice) {
     EXPECT_EQ(r.metrics.cut_edges, test::count_cut_edges(h, r.sides))
         << ml::to_string(choice);
   }
+}
+
+TEST(FlowRefineEngine, DeepChainThroughTheEngine) {
+  // 200,000-module two-pin chain under corridor flow at every level: the
+  // finest corridors are chains tens of thousands of modules long.
+  const Hypergraph h = test::path_hypergraph(200'000);
+  ml::PartitionPlan plan;
+  plan.refiner = ml::RefinerChoice::kFlow;
+  const ml::EngineResult r = ml::partition_auto(h, plan);
+  EXPECT_EQ(r.engine_used, ml::EngineChoice::kMultilevel);
+  EXPECT_TRUE(r.metrics.proper);
+  EXPECT_EQ(r.metrics.cut_weight, 1);
 }
 
 TEST(FlowRefineEngine, FlatPostPassNeverWorsensTheFlatResult) {

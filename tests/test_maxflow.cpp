@@ -110,6 +110,93 @@ TEST(MaxFlow, Preconditions) {
   EXPECT_THROW(net.add_arc(0, 1, 1), PreconditionError);  // solved
 }
 
+TEST(MaxFlow, TenUncuttableSourcePinsIntoOneNet) {
+  // Ten source-set pins of one capacity-3 net (Lawler gadget: pin -> in
+  // and out -> pin uncuttable, in -> out the net), and one sink-side pin.
+  // Pushing kInfiniteCapacity down each source arc would put ten times
+  // 2^60 on the net's in node and overflow int64.
+  constexpr Count kSource = 0;
+  constexpr Count kIn = 11;
+  constexpr Count kOut = 12;
+  constexpr Count kSinkPin = 13;
+  constexpr Count kSink = 14;
+  constexpr FlowNetwork::Capacity kInf = FlowNetwork::kInfiniteCapacity;
+  FlowNetwork net(15);
+  for (Count pin = 1; pin <= 10; ++pin) {
+    net.add_arc(kSource, pin, kInf);
+    net.add_arc(pin, kIn, kInf);
+    net.add_arc(kOut, pin, kInf);
+  }
+  net.add_arc(kIn, kOut, 3);
+  net.add_arc(kSinkPin, kIn, kInf);
+  net.add_arc(kOut, kSinkPin, kInf);
+  net.add_arc(kSinkPin, kSink, kInf);
+  EXPECT_EQ(net.max_flow(kSource, kSink), 3);
+  const auto side = net.min_cut_side();
+  EXPECT_EQ(side[kIn], 1);
+  EXPECT_EQ(side[kOut], 0);
+  for (Count pin = 1; pin <= 10; ++pin) EXPECT_EQ(side[pin], 1) << pin;
+  EXPECT_EQ(side[kSinkPin], 0);
+}
+
+TEST(MaxFlow, ParallelUncuttableSourceArcs) {
+  FlowNetwork net(3);
+  net.add_arc(0, 1, FlowNetwork::kInfiniteCapacity);
+  net.add_arc(0, 1, FlowNetwork::kInfiniteCapacity);
+  net.add_arc(0, 1, FlowNetwork::kInfiniteCapacity);
+  net.add_arc(1, 2, 5);
+  EXPECT_EQ(net.max_flow(0, 2), 5);
+  EXPECT_EQ(net.min_cut_side(), (std::vector<std::uint8_t>{1, 1, 0}));
+}
+
+TEST(MaxFlow, MinimalMinCutOfATiedNetwork) {
+  // Two minimum cuts of weight 2 in series: {0} | {1, 2, 3} and
+  // {0, 1} | {2, 3}. The minimal one keeps only the source.
+  FlowNetwork net(4);
+  net.add_arc(0, 1, 2);
+  net.add_arc(1, 2, 2);
+  net.add_arc(2, 3, 7);
+  EXPECT_EQ(net.max_flow(0, 3), 2);
+  EXPECT_EQ(net.min_cut_side(), (std::vector<std::uint8_t>{1, 0, 0, 0}));
+}
+
+TEST(MaxFlow, FiniteCapacitySumReachingInfinityFailsTyped) {
+  // Each capacity is admissible, but together they reach the uncuttable
+  // capacity: max_flow refuses before solving.
+  constexpr FlowNetwork::Capacity kHalf = FlowNetwork::kInfiniteCapacity / 2;
+  FlowNetwork net(3);
+  net.add_arc(0, 1, kHalf);
+  net.add_arc(1, 2, kHalf);
+  EXPECT_THROW((void)net.max_flow(0, 2), PreconditionError);
+
+  FlowNetwork fits(3);
+  fits.add_arc(0, 1, kHalf);
+  fits.add_arc(1, 2, kHalf - 1);
+  EXPECT_EQ(fits.max_flow(0, 2), kHalf - 1);
+}
+
+TEST(MaxFlow, UncuttablePathFailsTyped) {
+  FlowNetwork net(3);
+  net.add_arc(0, 1, FlowNetwork::kInfiniteCapacity);
+  net.add_arc(1, 2, FlowNetwork::kInfiniteCapacity);
+  net.add_arc(0, 2, 4);
+  EXPECT_THROW((void)net.max_flow(0, 2), PreconditionError);
+}
+
+TEST(MaxFlow, DeepChainSolvesIteratively) {
+  // A 300,000-arc path: a solver that recursed once per level would need
+  // that many stack frames.
+  constexpr Count kNodes = 300'001;
+  FlowNetwork net(kNodes);
+  for (Count v = 0; v + 1 < kNodes; ++v) {
+    net.add_arc(v, v + 1, v == 200'000 ? 1 : 2);
+  }
+  EXPECT_EQ(net.max_flow(0, kNodes - 1), 1);
+  const auto side = net.min_cut_side();
+  EXPECT_EQ(side[200'000], 1);
+  EXPECT_EQ(side[200'001], 0);
+}
+
 TEST(MaxFlow, CapacityCeilingIsTypedNotSaturating) {
   // kInfiniteCapacity itself is the uncuttable-arc sentinel and is
   // admitted; anything beyond it must fail typed so gadget builders in a

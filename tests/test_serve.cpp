@@ -32,6 +32,7 @@
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "test_helpers.hpp"
 #include "util/json.hpp"
 
 namespace fhp {
@@ -627,6 +628,29 @@ TEST(ServeEndToEnd, BadNetlistReturnsTypedErrorNotCrash) {
   EXPECT_EQ(bad.status, "error");
   EXPECT_FALSE(bad.error.empty());
   // The daemon survives and keeps serving.
+  EXPECT_TRUE(client.ping().ok());
+  server.shutdown();
+}
+
+TEST(ServeEndToEnd, DeepChainUnderCorridorFlowKeepsTheDaemonUp) {
+  // A 200,000-module two-pin chain (2.6 MB of hMETIS, far below the frame
+  // cap) refined by corridor flow: the flow gadgets are chains tens of
+  // thousands of levels deep, solved on a worker thread's stack.
+  serve::ServerOptions options;
+  options.socket_path = test_socket_path();
+  options.scheduler.threads = 1;
+  serve::Server server(options);
+  server.start();
+
+  serve::Client client;
+  client.connect(options.socket_path);
+  serve::RequestOptions request;
+  request.refiner = ml::RefinerChoice::kFlow;
+  const serve::Response r =
+      client.partition(hmetis_text(test::path_hypergraph(200'000)), request);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.cut_weight, 1);
+  EXPECT_EQ(r.sides.size(), 200'000U);
   EXPECT_TRUE(client.ping().ok());
   server.shutdown();
 }

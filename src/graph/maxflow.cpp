@@ -86,13 +86,6 @@ void FlowNetwork::global_relabel() {
   relabel_work_ = 0;
 }
 
-void FlowNetwork::activate(Count node) {
-  std::size_t tail = ring_head_ + ring_size_;
-  if (tail >= ring_.size()) tail -= ring_.size();
-  ring_[tail] = node;
-  ++ring_size_;
-}
-
 void FlowNetwork::discharge(Count node) {
   const Count n = num_nodes();
   const Count end = first_[node + 1];
@@ -107,7 +100,7 @@ void FlowNetwork::discharge(Count node) {
       const Capacity delta = std::min(excess, slot.residual);
       slot.residual -= delta;
       slots_[slot.partner].residual += delta;
-      if (excess_[slot.to] == 0 && slot.to != sink_) activate(slot.to);
+      if (excess_[slot.to] == 0 && slot.to != sink_) active_.push(slot.to);
       excess_[slot.to] += delta;
       excess -= delta;
       if (excess == 0) break;
@@ -161,21 +154,17 @@ FlowNetwork::Capacity FlowNetwork::max_flow(Count source, Count sink) {
   excess_.assign(n, 0);
   label_.assign(n, n);
   current_.assign(n, 0);
-  ring_.assign(n, 0);
-  ring_head_ = 0;
-  ring_size_ = 0;
   bfs_.reserve(n);
   // The bounded source excess stands in for a super-source arc of
   // capacity B = finite + 1 into the source.
   excess_[source] = finite + 1;
   global_relabel();
-  activate(source);
+  active_.push(source);
 
   const std::uint64_t period = static_cast<std::uint64_t>(n) + slots_.size();
-  while (ring_size_ > 0) {
-    const Count u = ring_[ring_head_];
-    if (++ring_head_ == ring_.size()) ring_head_ = 0;
-    --ring_size_;
+  while (!active_.empty()) {
+    const Count u = active_.front();
+    active_.pop();
     if (label_[u] >= n) continue;  // died at a global relabel; keeps excess
     discharge(u);
     if (relabel_work_ > period) global_relabel();

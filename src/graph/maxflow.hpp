@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <queue>
 #include <vector>
 
 #include "util/error.hpp"
@@ -112,7 +113,6 @@ class FlowNetwork {
   void pack();
   void global_relabel();
   void discharge(Count node);
-  void activate(Count node);
 
   Count num_nodes_ = 0;
   std::vector<AddedArc> added_;
@@ -124,11 +124,10 @@ class FlowNetwork {
   /// Lower bound on the residual distance to the sink; num_nodes() = dead.
   std::vector<Count> label_;
   std::vector<Count> current_;  ///< next slot to try per node
-  /// Active nodes in FIFO order, as a ring: a node is in it at most once
-  /// (exactly while it holds excess and is neither dead nor the sink).
-  std::vector<Count> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_size_ = 0;
+  /// Active nodes in FIFO order. A node enters when a push gives it
+  /// excess and leaves when it is discharged, so it is queued at most
+  /// once; one that died at a global relabel meanwhile is skipped.
+  std::queue<Count> active_;
   std::vector<Count> bfs_;  ///< global_relabel() queue
   /// Relabel work since the last global relabel.
   std::uint64_t relabel_work_ = 0;

@@ -20,7 +20,6 @@
 #include "gen/planted.hpp"
 #include "graph/maxflow.hpp"
 #include "multilevel/flow_refine.hpp"
-#include "partition/partition.hpp"
 #include "util/rng.hpp"
 #include "validate/reference.hpp"
 

@@ -5,10 +5,11 @@
 /// Every maximum flow leaves the same minimal minimum cut, so the two
 /// solvers must agree on the flow value and on min_cut_side() node for
 /// node: on random networks with parallel, zero-capacity and uncuttable
-/// arcs, on flow-bipartition gadgets over random hypergraphs, and through
-/// ml::solve_corridor() against solve_corridor_reference() on random
-/// corridors of random and bench_flow_refine instances. The oracle recurses
-/// once per BFS level, so every case here stays shallow.
+/// arcs, on flow-bipartition gadgets over random hypergraphs, and on the
+/// Lawler gadgets of random corridors of random and bench_flow_refine
+/// instances, where ml::solve_corridor() must also equal
+/// solve_corridor_reference(). The oracle recurses once per BFS level, so
+/// every case here stays shallow.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -160,8 +161,51 @@ TEST(MaxFlowIdentity, BipartitionGadgetsMatchDinic) {
   }
 }
 
+/// The Lawler gadget solve_corridor() builds: corridor modules numbered
+/// in id order, an in -> out pair per net with a corridor pin, and
+/// exterior pins contracted into the super terminal of their side (one
+/// arc pair per terminal per net). Returns the node count; the super
+/// source and super sink are the last two nodes.
+Count corridor_gadget(const Hypergraph& h,
+                      const std::vector<std::uint8_t>& sides,
+                      const std::vector<std::uint8_t>& in_corridor,
+                      std::vector<ArcSpec>& arcs) {
+  std::vector<Count> local(h.num_vertices(), 0);
+  Count movable = 0;
+  for (VertexId v = 0; v < h.num_vertices(); ++v) {
+    if (in_corridor[v] != 0) local[v] = movable++;
+  }
+  std::vector<EdgeId> relevant;
+  for (EdgeId e = 0; e < h.num_edges(); ++e) {
+    const auto pins = h.pins(e);
+    if (std::any_of(pins.begin(), pins.end(),
+                    [&](VertexId v) { return in_corridor[v] != 0; })) {
+      relevant.push_back(e);
+    }
+  }
+  const Count super_s = movable + 2 * static_cast<Count>(relevant.size());
+  arcs.clear();
+  for (std::size_t j = 0; j < relevant.size(); ++j) {
+    const Count in = movable + 2 * static_cast<Count>(j);
+    arcs.push_back({in, in + 1, h.edge_weight(relevant[j])});
+    bool wired[2] = {false, false};
+    for (VertexId v : h.pins(relevant[j])) {
+      Count node = local[v];
+      if (in_corridor[v] == 0) {
+        if (wired[sides[v]]) continue;
+        wired[sides[v]] = true;
+        node = super_s + sides[v];
+      }
+      arcs.push_back({node, in, FlowNetwork::kInfiniteCapacity});
+      arcs.push_back({in + 1, node, FlowNetwork::kInfiniteCapacity});
+    }
+  }
+  return super_s + 2;
+}
+
 /// solve_corridor() against the reference over the Dinic oracle: every
-/// field of the CorridorSolve.
+/// field of the CorridorSolve, and for a solved corridor the flow value
+/// and cut side of every node of its gadget.
 void expect_same_solve(const Hypergraph& h,
                        const std::vector<std::uint8_t>& sides,
                        const std::vector<std::uint8_t>& in_corridor,
@@ -174,6 +218,12 @@ void expect_same_solve(const Hypergraph& h,
   ASSERT_EQ(got.cut_weight, want.cut_weight) << "case " << i;
   ASSERT_EQ(got.flow_value, want.flow_value) << "case " << i;
   ASSERT_EQ(got.gadget_arcs, want.gadget_arcs) << "case " << i;
+  if (!got.solved) return;
+  std::vector<ArcSpec> arcs;
+  const Count nodes = corridor_gadget(h, sides, in_corridor, arcs);
+  ASSERT_EQ(2 * arcs.size(), got.gadget_arcs) << "case " << i;
+  ASSERT_NO_FATAL_FAILURE(
+      expect_same_cut(nodes, arcs, nodes - 2, nodes - 1, i));
 }
 
 /// Corridor of modules within \p hops of a cut net's pin (on the module's

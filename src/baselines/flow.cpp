@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/maxflow.hpp"
+#include "multilevel/flow_refine.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "partition/partition.hpp"
@@ -36,49 +37,23 @@ VertexId farthest_module(const Hypergraph& h, VertexId source) {
   return last;
 }
 
-/// One min-cut solve with collapsed terminal sets: every module marked in
-/// \p in_s (\p in_t) is wired to the super source (sink) with uncuttable
-/// arcs. Returns the source-side marker per module and the cut weight.
-struct CutResult {
-  std::vector<std::uint8_t> source_side;
-  FlowNetwork::Capacity cut = 0;
-};
-
-CutResult solve_cut(const Hypergraph& h, const std::vector<std::uint8_t>& in_s,
-                    const std::vector<std::uint8_t>& in_t) {
+/// One min-cut solve with collapsed terminal sets: the modules marked in
+/// \p in_s (\p in_t) are the corridor exterior at side 0 (1), contracted
+/// into the super source (sink); every other module is movable. Returns
+/// the sides of the minimal minimum cut (source side = 0).
+std::vector<std::uint8_t> solve_cut(const Hypergraph& h,
+                                    const std::vector<std::uint8_t>& in_s,
+                                    const std::vector<std::uint8_t>& in_t) {
   FHP_TRACE_SCOPE("maxflow_solve");
   FHP_COUNTER_ADD("flow/maxflow_solves", 1);
-  // Gadget sizing in 64-bit so a node count past the index range fails
-  // typed in FlowNetwork's admission instead of wrapping on the way there.
-  const std::uint64_t nodes64 = static_cast<std::uint64_t>(h.num_vertices()) +
-                                2 * static_cast<std::uint64_t>(h.num_edges()) +
-                                2;
-  FHP_REQUIRE(nodes64 <= kMaxIndexCount,
-              "flow gadget node count exceeds the index range");
-  const Count n = h.num_vertices();
-  const Count super_s = n + 2 * h.num_edges();
-  const Count super_t = super_s + 1;
-  FlowNetwork net(super_t + 1);
-  // Standard hyperedge gadget: cutting net e costs edge_weight(e) once.
-  for (EdgeId e = 0; e < h.num_edges(); ++e) {
-    const Count in = n + 2 * e;
-    const Count out = in + 1;
-    net.add_arc(in, out, h.edge_weight(e));
-    for (VertexId v : h.pins(e)) {
-      net.add_arc(v, in, FlowNetwork::kInfiniteCapacity);
-      net.add_arc(out, v, FlowNetwork::kInfiniteCapacity);
-    }
-  }
+  const VertexId n = h.num_vertices();
+  std::vector<std::uint8_t> sides(n, 1);
+  std::vector<std::uint8_t> movable(n, 1);
   for (VertexId v = 0; v < n; ++v) {
-    if (in_s[v]) net.add_arc(super_s, v, FlowNetwork::kInfiniteCapacity);
-    if (in_t[v]) net.add_arc(v, super_t, FlowNetwork::kInfiniteCapacity);
+    if (in_s[v]) sides[v] = 0;
+    if (in_s[v] || in_t[v]) movable[v] = 0;
   }
-  CutResult result;
-  result.cut = net.max_flow(super_s, super_t);
-  const std::vector<std::uint8_t> reach = net.min_cut_side();
-  result.source_side.assign(n, 0);
-  for (VertexId v = 0; v < n; ++v) result.source_side[v] = reach[v];
-  return result;
+  return ml::solve_corridor(h, sides, movable).sides;
 }
 
 /// A module outside \p region (and outside \p forbidden) sharing a net
@@ -113,30 +88,25 @@ std::vector<std::uint8_t> fbb(const Hypergraph& h, VertexId s, VertexId t,
   in_s[s] = 1;
   in_t[t] = 1;
 
-  std::vector<std::uint8_t> sides(n, 1);
+  std::vector<std::uint8_t> sides;
   for (VertexId round = 0; round < n; ++round) {
-    const CutResult cut = solve_cut(h, in_s, in_t);
-    VertexId source_count = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      sides[v] = cut.source_side[v] ? 0 : 1;
-      source_count += cut.source_side[v];
-    }
+    sides = solve_cut(h, in_s, in_t);
+    const auto source_count =
+        static_cast<VertexId>(std::count(sides.begin(), sides.end(), 0));
     if (source_count >= lo && source_count <= hi) break;
 
     if (source_count < lo) {
       // Source side too small: absorb it into S and grab one neighbor.
       for (VertexId v = 0; v < n; ++v) {
-        if (cut.source_side[v]) in_s[v] = 1;
+        if (sides[v] == 0) in_s[v] = 1;
       }
       const VertexId extra = pick_adjacent(h, in_s, in_t);
       if (extra == kInvalidVertex) break;
       in_s[extra] = 1;
     } else {
       // Sink side too small: absorb it into T and grab one neighbor.
-      std::vector<std::uint8_t> sink_side(n, 0);
-      for (VertexId v = 0; v < n; ++v) sink_side[v] = !cut.source_side[v];
       for (VertexId v = 0; v < n; ++v) {
-        if (sink_side[v]) in_t[v] = 1;
+        if (sides[v] == 1) in_t[v] = 1;
       }
       const VertexId extra = pick_adjacent(h, in_t, in_s);
       if (extra == kInvalidVertex) break;
@@ -157,9 +127,11 @@ BaselineResult flow_bipartition(const Hypergraph& h,
   FHP_REQUIRE(options.balance_fraction > 0.0 &&
                   options.balance_fraction <= 1.0,
               "balance fraction must be in (0, 1]");
-  // Every net is a finite arc of each solve's gadget, so their summed
-  // weight must stay below the uncuttable-arc capacity (graph/maxflow.hpp,
-  // "Arithmetic"), as solve_corridor() requires of its relevant nets.
+  // A net with a movable pin is a finite arc of a solve's gadget, so the
+  // summed net weight must stay below the uncuttable-arc capacity
+  // (graph/maxflow.hpp, "Arithmetic"). Checking every net up front fails
+  // such an instance typed before the first solve, whichever nets the
+  // solves take in.
   FHP_REQUIRE(h.total_edge_weight() < FlowNetwork::kInfiniteCapacity,
               "flow gadget capacity overflow: summed net weight reaches "
               "the uncuttable-arc capacity");

@@ -6,7 +6,13 @@
 /// Each net is modeled by the standard two-node gadget (in → out arc of
 /// capacity = net weight, uncuttable arcs from/to its pins), so a minimum
 /// s-t cut of the flow network is exactly a minimum net cut separating
-/// modules s and t. Balance is enforced FBB-style: while the source side
+/// modules s and t. Every solve is one ml::solve_corridor() call
+/// (multilevel/flow_refine.hpp): the terminal sets are the corridor's
+/// exterior, contracted into the super source (side 0) and super sink
+/// (side 1), and every other module is movable. The contraction and the
+/// dropped nets without a movable pin (a constant in every cut) leave the
+/// minimal minimum cut on the movable modules what the whole-instance
+/// gadget gives. Balance is enforced FBB-style: while the source side
 /// of the min cut is outside the target occupancy band, it is collapsed
 /// into its terminal together with one adjacent module (forcing progress)
 /// and the cut is re-solved. Several far-apart terminal pairs are tried

@@ -1,7 +1,6 @@
 #include "multilevel/flow_refine.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "core/recursive.hpp"
@@ -14,9 +13,9 @@ namespace fhp::ml {
 
 namespace {
 
-/// Grows the round's corridor: every pin of every cut net is seeded
-/// (keeping at least one exterior anchor per side so the gadget always
-/// has both terminals), then a per-side BFS over the hypergraph
+/// Grows the round's corridor around \p p: every pin of every cut net is
+/// seeded (keeping at least one exterior anchor per side so the gadget
+/// always has both terminals), then a per-side BFS over the hypergraph
 /// (module → nets → modules, staying on the module's own side) expands
 /// the corridor breadth-first until the admitted vertex weight of that
 /// side reaches \p budget. All traversal state lives in the workspace:
@@ -27,13 +26,12 @@ namespace {
 /// Deterministic: seeds are collected in (net, pin) CSR order and the
 /// expansion consumes each frontier in push order, so equal inputs grow
 /// equal corridors at any thread count.
-VertexId grow_corridor(const Hypergraph& h,
-                       const std::vector<std::uint8_t>& sides, double budget,
-                       Workspace& ws, std::vector<std::uint8_t>& in_corridor) {
+VertexId grow_corridor(const Bipartition& p, double budget, Workspace& ws,
+                       std::vector<std::uint8_t>& in_corridor) {
+  const Hypergraph& h = p.hypergraph();
   const VertexId n = h.num_vertices();
   in_corridor.assign(n, 0);
-  VertexId exterior[2] = {0, 0};
-  for (VertexId v = 0; v < n; ++v) ++exterior[sides[v]];
+  VertexId exterior[2] = {p.count(0), p.count(1)};
 
   ws.mark.reset(n, 0);
   ws.edge_mark.reset(h.num_edges(), 0);
@@ -56,15 +54,9 @@ VertexId grow_corridor(const Hypergraph& h,
   // where improvement lives) — except the last exterior module of a
   // side, which stays out as that side's terminal anchor.
   for (EdgeId e = 0; e < h.num_edges(); ++e) {
-    const std::span<const VertexId> pins = h.pins(e);
-    bool on[2] = {false, false};
-    for (VertexId v : pins) {
-      on[sides[v]] = true;
-      if (on[0] && on[1]) break;
-    }
-    if (!(on[0] && on[1])) continue;
-    for (VertexId v : pins) {
-      const std::uint8_t s = sides[v];
+    if (!p.is_cut(e)) continue;
+    for (VertexId v : h.pins(e)) {
+      const std::uint8_t s = p.side(v);
       if (ws.mark.get(v) == 0 && exterior[s] > 1) admit(v, s);
     }
   }
@@ -82,7 +74,7 @@ VertexId grow_corridor(const Hypergraph& h,
         if ((ws.edge_mark.get(e) & side_bit) != 0) continue;
         ws.edge_mark.set(e, ws.edge_mark.get(e) | side_bit);
         for (VertexId u : h.pins(e)) {
-          if (sides[u] != side || ws.mark.get(u) != 0) continue;
+          if (p.side(u) != side || ws.mark.get(u) != 0) continue;
           if (admitted[s] >= budget || exterior[s] <= 1) break;
           admit(u, side);
         }
@@ -207,18 +199,11 @@ Weight FlowRefiner::refine(const Hypergraph& h,
   if (h.num_vertices() < options_.min_vertices || h.num_edges() == 0) {
     return 0;
   }
-  const Weight before = cut_weight_of(h, sides);
+  Bipartition p(h, sides);
+  const Weight before = p.cut_weight();
   if (before == 0) return 0;
 
   const Weight total = h.total_vertex_weight();
-  const auto imbalance_of = [&](const std::vector<std::uint8_t>& s) {
-    Weight w0 = 0;
-    for (VertexId v = 0; v < h.num_vertices(); ++v) {
-      if (s[v] == 0) w0 += h.vertex_weight(v);
-    }
-    const Weight w1 = total - w0;
-    return w0 > w1 ? w0 - w1 : w1 - w0;
-  };
   // A candidate must land within the tolerance band — or at least not be
   // more lopsided than the partition we were handed (projected coarse
   // partitions can start outside the band; flow must stay adoptable).
@@ -229,18 +214,16 @@ Weight FlowRefiner::refine(const Hypergraph& h,
   const auto tol_abs = static_cast<Weight>(options_.balance_tolerance *
                                            static_cast<double>(total));
   const Weight allowed =
-      std::max({Weight{2}, tol_abs, imbalance_of(sides)});
+      std::max({Weight{2}, tol_abs, p.weight_imbalance()});
 
   double budget =
       std::max(1.0, kCorridorWeightFraction * static_cast<double>(total));
-  Weight current = before;
   std::vector<std::uint8_t> in_corridor;
   int dry = 0;
   for (int round = 0; round < kMaxFlowRounds && dry < kMaxDryFlowRounds;
        ++round) {
     FHP_COUNTER_ADD("flow/rounds", 1);
-    const VertexId corridor = grow_corridor(h, sides, budget, ws_,
-                                            in_corridor);
+    const VertexId corridor = grow_corridor(p, budget, ws_, in_corridor);
     FHP_COUNTER_ADD("flow/corridor_vertices",
                     static_cast<long long>(corridor));
     // Anchors are all that can remain exterior once the corridor covers
@@ -249,45 +232,44 @@ Weight FlowRefiner::refine(const Hypergraph& h,
 
     bool adopted = false;
     if (corridor > 0) {
-      CorridorSolve solve = solve_corridor(h, sides, in_corridor);
+      const CorridorSolve solve = solve_corridor(h, p.sides(), in_corridor);
       FHP_COUNTER_ADD("flow/gadget_arcs",
                       static_cast<long long>(solve.gadget_arcs));
-      if (solve.solved && solve.cut_weight < current) {
-        if (imbalance_of(solve.sides) <= allowed) {
-          adopted = true;
-        } else {
-          // Balance recovery: the exact min cut is often lopsided. Let
-          // the greedy rebalancer walk it back toward an even split and
-          // adopt only if the result is still a strict cut improvement
-          // inside the allowance.
-          Bipartition p(h, std::move(solve.sides));
-          // Halved tolerance (the recursive driver's convention): the
-          // rebalancer bounds the *deviation* while the allowance bounds
-          // the *imbalance* = 2 x deviation.
-          rebalance_bipartition(p, 0.5, options_.balance_tolerance / 2.0);
-          solve.sides = p.sides();
-          solve.cut_weight = p.cut_weight();
-          adopted = solve.cut_weight < current &&
-                    p.weight_imbalance() <= allowed;
+      if (solve.solved && solve.cut_weight < p.cut_weight()) {
+        Bipartition candidate = p;
+        for (VertexId v = 0; v < h.num_vertices(); ++v) {
+          if (in_corridor[v] != 0) candidate.move_to(v, solve.sides[v]);
         }
-      }
-      if (adopted) {
-        sides = std::move(solve.sides);
-        current = solve.cut_weight;
-        FHP_COUNTER_ADD("flow/adopted", 1);
+        // Balance recovery: the exact min cut is often lopsided. Let the
+        // greedy rebalancer walk it back toward an even split and adopt
+        // only if the result is still a strict cut improvement inside the
+        // allowance. Halved tolerance (the recursive driver's
+        // convention): the rebalancer bounds the *deviation* while the
+        // allowance bounds the *imbalance* = 2 x deviation.
+        if (candidate.weight_imbalance() > allowed) {
+          rebalance_bipartition(candidate, 0.5,
+                                options_.balance_tolerance / 2.0);
+        }
+        adopted = candidate.cut_weight() < p.cut_weight() &&
+                  candidate.weight_imbalance() <= allowed;
+        if (adopted) {
+          p = std::move(candidate);
+          FHP_COUNTER_ADD("flow/adopted", 1);
+        }
       }
     }
 
     if (adopted) {
       dry = 0;
-      if (current == 0) break;
+      if (p.cut_weight() == 0) break;
     } else {
       ++dry;
       if (saturated) break;
     }
     budget *= kCorridorBudgetGrowth;
   }
-  return before - current;
+  sides = p.sides();
+  return before - p.cut_weight();
 }
 
 }  // namespace fhp::ml

@@ -15,6 +15,15 @@
 /// after every round, improvement counter reset on adoption — until two
 /// consecutive rounds go dry or the corridor saturates.
 ///
+/// One refine() call keeps its partition in one Bipartition: the corridor
+/// seeds are its cut nets, and a round's candidate is a copy of it with
+/// every corridor module moved to the min cut's side. The copy holds the
+/// same pin counts, side weights and cut a fresh Bipartition of the
+/// candidate would, so balance recovery runs on the copy and adoption is
+/// a move-assignment. solve_corridor() is also the flow baseline's only
+/// gadget builder (baselines/flow.hpp), with its terminal sets as the
+/// exterior.
+///
 /// Unlike FM, one flow solve optimizes the whole corridor globally, so it
 /// escapes the move-at-a-time local minima FM sticks in; the corridor
 /// bound keeps each solve far cheaper than a whole-instance flow

@@ -52,8 +52,7 @@ Scheduler::Scheduler(const SchedulerOptions& options)
     : options_(options),
       pool_(options.threads),
       cache_(options.cache_bytes),
-      est_start_cost_us_(std::max<std::int64_t>(
-          1, options.initial_start_cost_us)) {
+      est_start_cost_us_(kInitialStartCostUs) {
   FHP_GAUGE_SET("pool/lanes", pool_.thread_count());
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -173,8 +172,7 @@ ScheduleResult Scheduler::partition(Hypergraph&& h,
       job->key = key;
       job->use_cache = cacheable;
       job->budget = budget;
-      job->small =
-          job->hypergraph.num_vertices() < options_.batch_threshold;
+      job->small = job->hypergraph.num_vertices() < kBatchThreshold;
       queue_.push_back(job);
       if (cacheable) {
         inflight_.emplace(key, job);

@@ -40,6 +40,14 @@
 
 namespace fhp::serve {
 
+/// Instances below this many modules are batch candidates; at or above
+/// it they run alone with the full pool (the engine's own flat/multilevel
+/// crossover).
+inline constexpr VertexId kBatchThreshold = ml::kDefaultMultilevelThreshold;
+/// Seed of the per-start cost EWMA (microseconds) used by the deadline
+/// mapping until real completions train it.
+inline constexpr std::int64_t kInitialStartCostUs = 500;
+
 /// Scheduler knobs (daemon flags map onto these 1:1).
 struct SchedulerOptions {
   /// Pool lanes for dispatch (0 = FHP_THREADS, see resolve_threads()).
@@ -49,15 +57,8 @@ struct SchedulerOptions {
   std::size_t max_queue = 64;
   /// Result-cache resident-byte budget (0 disables caching).
   std::uint64_t cache_bytes = 64u << 20;
-  /// Instances below this many modules are batch candidates; at or above
-  /// it they run alone with the full pool (matches the engine's own
-  /// flat/multilevel crossover by default).
-  VertexId batch_threshold = ml::kDefaultMultilevelThreshold;
   /// Most small jobs dispatched as one batch across the pool.
   std::size_t max_batch = 8;
-  /// Seed of the per-start cost EWMA (microseconds) used by the deadline
-  /// mapping until real completions train it.
-  std::int64_t initial_start_cost_us = 500;
 };
 
 /// Deadline -> multi-start budget decision (a pure function, exported so

@@ -5,11 +5,12 @@
 /// Every maximum flow leaves the same minimal minimum cut, so the two
 /// solvers must agree on the flow value and on min_cut_side() node for
 /// node: on random networks with parallel, zero-capacity and uncuttable
-/// arcs, on flow-bipartition gadgets over random hypergraphs, and on the
-/// Lawler gadgets of random corridors of random and bench_flow_refine
-/// instances, where ml::solve_corridor() must also equal
-/// solve_corridor_reference(). The oracle recurses once per BFS level, so
-/// every case here stays shallow.
+/// arcs, on flow-bipartition gadgets over random hypergraphs, where the
+/// contracted ml::solve_corridor() the flow baseline runs must also leave
+/// every module on the whole gadget's side, and on the Lawler gadgets of
+/// random corridors of random and bench_flow_refine instances, where
+/// ml::solve_corridor() must also equal solve_corridor_reference(). The
+/// oracle recurses once per BFS level, so every case here stays shallow.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -112,9 +113,9 @@ Hypergraph random_weighted(Rng& rng, VertexId n, EdgeId m) {
   return std::move(b).build();
 }
 
-/// The flow-bipartition gadget (baselines/flow.cpp): every net an
-/// in -> out arc of its weight, uncuttable pin arcs, and the terminal sets
-/// wired to a super source and a super sink.
+/// The whole-instance flow-bipartition gadget: every net an in -> out arc
+/// of its weight, uncuttable pin arcs, and the terminal sets wired to a
+/// super source and a super sink.
 std::vector<ArcSpec> bipartition_gadget(const Hypergraph& h,
                                         const std::vector<std::uint8_t>& in_s,
                                         const std::vector<std::uint8_t>& in_t) {
@@ -155,9 +156,31 @@ TEST(MaxFlowIdentity, BipartitionGadgetsMatchDinic) {
       if (rng.next_bool(share)) (rng.next_bool(0.5) ? in_s : in_t)[v] = 1;
     }
     const Count super_s = n + 2 * h.num_edges();
-    ASSERT_NO_FATAL_FAILURE(expect_same_cut(super_s + 2,
-                                            bipartition_gadget(h, in_s, in_t),
-                                            super_s, super_s + 1, i));
+    const std::vector<ArcSpec> arcs = bipartition_gadget(h, in_s, in_t);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_cut(super_s + 2, arcs, super_s, super_s + 1, i));
+
+    // The flow baseline's solve (baselines/flow.cpp): the terminal sets
+    // as the exterior of a corridor over every other module, contracted
+    // into the super terminals. It must leave every module on the side of
+    // the whole gadget's minimal minimum cut.
+    DinicNetwork oracle(super_s + 2);
+    for (const ArcSpec& a : arcs) {
+      (void)oracle.add_arc(a.from, a.to, a.capacity);
+    }
+    (void)oracle.max_flow(super_s, super_s + 1);
+    const std::vector<std::uint8_t> reach = oracle.min_cut_side();
+    std::vector<std::uint8_t> sides(n, 1);
+    std::vector<std::uint8_t> movable(n, 1);
+    for (VertexId v = 0; v < n; ++v) {
+      if (in_s[v]) sides[v] = 0;
+      if (in_s[v] || in_t[v]) movable[v] = 0;
+    }
+    const ml::CorridorSolve solve = ml::solve_corridor(h, sides, movable);
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(solve.sides[v], reach[v] != 0 ? 0 : 1)
+          << "case " << i << " module " << v;
+    }
   }
 }
 
